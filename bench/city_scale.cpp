@@ -18,13 +18,6 @@
 // byte-identical for every worker count — which CI exercises, since every
 // number below ultimately comes out of the hashed flow tables through
 // their deterministic ordered snapshots.
-//
-// --partitions N additionally shards each world ACROSS worker threads with
-// the conservative-lookahead partitioned engine (DESIGN.md §14): the
-// topology cut falls on the edge->core uplinks, whose propagation delay is
-// the lookahead. Counters, the table, the --metrics sidecar and the --slo
-// health stream are all byte-identical for every partition count — CI
-// diffs --partitions 2 against 1.
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -37,7 +30,7 @@
 #include "net/queue.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/partition.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
@@ -49,7 +42,6 @@ struct CityConfig {
   std::size_t flows_per_host = 16;   // total flows = hosts * flows_per_host
   int packets_per_flow = 8;
   double parent_rate_bps = 0.0;      // > 0: HTB parent on the core egress
-  unsigned partitions = 1;           // world shards (1 = single engine)
   bool collect_metrics = false;      // fill CityResult::metrics
   bool telemetry = false;            // fill CityResult::health (drop-rate SLOs)
 };
@@ -86,9 +78,9 @@ struct CityResult {
 bool is_reserved(net::FlowId f) { return (f - 1) % 8 == 0; }
 
 CityResult run_city(const CityConfig& cfg) {
-  sim::World world(sim::EngineConfig{cfg.partitions});
-  for (unsigned p = 0; p < world.partitions(); ++p) world.engine(p).reserve(1 << 16);
-  net::Network net(world);
+  sim::Engine engine;
+  engine.reserve(1 << 16);
+  net::Network net(engine);
 
   const net::NodeId core = net.add_node("core");
   const net::NodeId sink = net.add_node("sink");
@@ -144,16 +136,23 @@ CityResult run_city(const CityConfig& cfg) {
     core_egress.install_reservation(f, 50e3, 16'000, t0);
   }
 
-  // Cut the world: the branch heuristic puts each edge router's host tree
-  // in one unit and cuts on the edge->core uplinks (positive propagation,
-  // so they carry the lookahead); core + sink stay on partition 0.
-  net.auto_partition();
-  if (cfg.telemetry) net.enable_telemetry_log();
+  // Drop-rate SLOs on 64 monitors spread across the id space, so they
+  // land on hosts over the whole burst stagger — late hosts hit the
+  // saturated core uplink and their best-effort monitors breach.
+  obs::TelemetryHub hub;
+  if (cfg.telemetry) {
+    obs::SloSpec slo;
+    slo.max_drop_rate = 0.05;
+    const std::uint64_t stride = n_flows < 64 ? 1 : n_flows / 64;
+    for (std::uint64_t f = 1; f <= n_flows; f += stride) {
+      hub.set_slo(f, slo);
+    }
+    engine.set_telemetry(&hub);
+  }
 
   CityResult out;
-  sim::Engine& sink_engine = net.engine_of(sink);
-  net.set_receiver(sink, [&sink_engine, &out](net::Packet&& p) {
-    const std::int64_t lat = (sink_engine.now() - p.sent_at).ns();
+  net.set_receiver(sink, [&engine, &out](net::Packet&& p) {
+    const std::int64_t lat = (engine.now() - p.sent_at).ns();
     (is_reserved(p.flow) ? out.reserved_latency_ns : out.other_latency_ns) += lat;
   });
 
@@ -165,7 +164,7 @@ CityResult run_city(const CityConfig& cfg) {
         TimePoint::zero() + microseconds(static_cast<std::int64_t>(
                                 1 + (h * 1'000'000) / cfg.hosts));
     const net::NodeId src = hosts[h];
-    net.engine_of(src).at(start, [&net, &cfg, h, src, sink] {
+    engine.at(start, [&net, &cfg, h, src, sink] {
       for (int round = 0; round < cfg.packets_per_flow; ++round) {
         for (std::size_t j = 0; j < cfg.flows_per_host; ++j) {
           const auto f =
@@ -183,7 +182,7 @@ CityResult run_city(const CityConfig& cfg) {
       }
     });
   }
-  world.run();
+  engine.run();
 
   out.sent = net.totals().sent;
   out.delivered = net.totals().delivered;
@@ -197,8 +196,7 @@ CityResult run_city(const CityConfig& cfg) {
 
   if (cfg.collect_metrics) {
     // Totals plus a probe flow per traffic class (full per-flow export at
-    // 256k flows would be a ~1.5M-line sidecar). The probes cross shard
-    // boundaries in partitioned runs, so the merge itself is on the diff.
+    // 256k flows would be a ~1.5M-line sidecar).
     obs::MetricsRegistry reg;
     const auto emit = [&reg](const std::string& base, const net::FlowCounters& c) {
       reg.counter(base + ".sent").set(c.sent);
@@ -217,21 +215,7 @@ CityResult run_city(const CityConfig& cfg) {
   }
 
   if (cfg.telemetry) {
-    // One hub, fed after the fact from the per-partition telemetry logs in
-    // merged (time, partition, sequence) order — never attached to the
-    // engines, so the health stream is independent of the partition count.
-    obs::TelemetryHub hub;
-    obs::SloSpec slo;
-    slo.max_drop_rate = 0.05;
-    // 64 monitors spread across the id space, so they land on hosts over
-    // the whole burst stagger — late hosts hit the saturated core uplink
-    // and their best-effort monitors breach.
-    const std::uint64_t stride = n_flows < 64 ? 1 : n_flows / 64;
-    for (std::uint64_t f = 1; f <= n_flows; f += stride) {
-      hub.set_slo(f, slo);
-    }
-    net.replay_telemetry(hub);
-    hub.finalize(net.end_time());
+    hub.finalize(engine.now());
     out.health = hub.report();
   }
   return out;
@@ -261,7 +245,6 @@ int main(int argc, char** argv) {
   core::Experiment<CityResult> exp;
   for (const auto& c : cases) {
     CityConfig cfg = c.cfg;
-    cfg.partitions = opts.partitions;
     cfg.collect_metrics = !opts.metrics_path.empty();
     cfg.telemetry = !opts.slo_path.empty();
     exp.add(c.name, /*seed=*/cfg.hosts * cfg.flows_per_host,

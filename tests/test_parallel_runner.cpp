@@ -17,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -65,14 +66,32 @@ TEST(ParallelRunner, ResolveJobsZeroMeansAllCores) {
 // --- option parsing and seed derivation ---------------------------------------
 
 TEST(ExperimentOptions, ParsesAndStripsJobsFlag) {
-  char a0[] = "prog", a1[] = "--jobs", a2[] = "3", a3[] = "keep";
-  char* argv[] = {a0, a1, a2, a3, nullptr};
-  int argc = 4;
-  const auto opts = core::parse_experiment_options(argc, argv);
-  EXPECT_EQ(opts.jobs, 3u);
-  ASSERT_EQ(argc, 2);
-  EXPECT_STREQ(argv[0], "prog");
-  EXPECT_STREQ(argv[1], "keep");
+  {
+    char a0[] = "prog", a1[] = "--jobs", a2[] = "3";
+    char* argv[] = {a0, a1, a2, nullptr};
+    int argc = 3;
+    const auto opts = core::parse_experiment_options(argc, argv);
+    EXPECT_EQ(opts.jobs, 3u);
+    ASSERT_EQ(argc, 1);
+    EXPECT_STREQ(argv[0], "prog");
+  }
+  // Anything else is an error, never a silently ignored leftover: a flag
+  // no driver honours, such as a partition count in long or short form,
+  // must stop the run instead of running with the defaults.
+  const auto parse = [](std::vector<std::string> args) {
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    int argc = static_cast<int>(args.size());
+    (void)core::parse_experiment_options(argc, argv.data());
+  };
+  const std::string partitions_flag = std::string("--") + "partitions";
+  EXPECT_EXIT(parse({"prog", "--jobs", "3", "keep"}), ::testing::ExitedWithCode(2),
+              "unrecognised argument: keep");
+  EXPECT_EXIT(parse({"prog", partitions_flag, "2"}), ::testing::ExitedWithCode(2),
+              "unrecognised argument: " + partitions_flag + ".*accepted flags: --jobs");
+  EXPECT_EXIT(parse({"prog", "-p2"}), ::testing::ExitedWithCode(2),
+              "unrecognised argument: -p2");
 }
 
 TEST(ExperimentOptions, ParsesCompactForms) {
