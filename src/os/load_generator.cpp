@@ -64,7 +64,7 @@ void LoadGenerator::emit_burst() {
       Duration{std::max<std::int64_t>(1, static_cast<std::int64_t>(
                                              static_cast<double>(config_.burst_mean.ns()) * factor))};
   ++bursts_;
-  cpu_.submit_for(cost, config_.priority, [this] { ++completed_; });
+  cpu_.submit_for(cost, config_.priority, [completed = completed_] { ++*completed; });
 }
 
 }  // namespace aqm::os

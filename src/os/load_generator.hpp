@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -46,7 +47,7 @@ class LoadGenerator {
   [[nodiscard]] double offered_utilization() const;
 
   [[nodiscard]] std::uint64_t bursts_submitted() const { return bursts_; }
-  [[nodiscard]] std::uint64_t bursts_completed() const { return completed_; }
+  [[nodiscard]] std::uint64_t bursts_completed() const { return *completed_; }
 
  private:
   void arm_next();
@@ -59,7 +60,9 @@ class LoadGenerator {
   bool running_ = false;
   sim::EventId next_event_{};
   std::uint64_t bursts_ = 0;
-  std::uint64_t completed_ = 0;
+  // Shared with each burst's completion callback: the CPU may finish a
+  // burst after this generator is gone, and the callback must not touch it.
+  std::shared_ptr<std::uint64_t> completed_ = std::make_shared<std::uint64_t>(0);
 };
 
 }  // namespace aqm::os

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <utility>
 
 namespace aqm::sim {
@@ -29,6 +30,15 @@ void small_sort(std::vector<T>& v, Less less) {
   }
 }
 
+/// base + offset on the event-time axis, clamped to the largest time point
+/// (a rung that starts at TimePoint::max() has no representable end).
+std::int64_t saturating_add(std::int64_t base, std::uint64_t offset) {
+  constexpr std::int64_t kMaxTime = std::numeric_limits<std::int64_t>::max();
+  return offset > static_cast<std::uint64_t>(kMaxTime - base)
+             ? kMaxTime
+             : base + static_cast<std::int64_t>(offset);
+}
+
 }  // namespace
 
 void Engine::reserve(std::size_t n_slots) {
@@ -51,7 +61,7 @@ bool Engine::refill() {
       // back into the bucket, so steady state allocates nothing.
       near_.swap(b);
       small_sort(near_, later);
-      near_end_ = rung_start_ + (static_cast<std::int64_t>(cur_) << shift_);
+      near_end_ = saturating_add(rung_start_, static_cast<std::uint64_t>(cur_) << shift_);
       return true;
     }
     nb_ = 0;
@@ -74,11 +84,7 @@ void Engine::build_rung() {
   nb_ = static_cast<std::size_t>(((span - 1) >> shift_) + 1);
   cur_ = 0;
   if (buckets_.size() < nb_) buckets_.resize(nb_);
-  constexpr std::int64_t kMaxTime = std::numeric_limits<std::int64_t>::max();
-  const std::uint64_t extent = static_cast<std::uint64_t>(nb_) << shift_;
-  rung_end_ = extent > static_cast<std::uint64_t>(kMaxTime - rung_start_)
-                  ? kMaxTime
-                  : rung_start_ + static_cast<std::int64_t>(extent);
+  rung_end_ = saturating_add(rung_start_, static_cast<std::uint64_t>(nb_) << shift_);
   for (const QEntry& e : far_) {
     buckets_[static_cast<std::uint64_t>(e.time_ns - rung_start_) >> shift_].push_back(e);
   }
