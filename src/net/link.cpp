@@ -57,6 +57,14 @@ obs::TelemetryHub* Link::net_telemetry() {
   return th;
 }
 
+void Link::report_drop(const Packet& p) {
+  if (obs::TraceRecorder* tr = net_tracer()) {
+    tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_.now(), p.trace,
+                {{"flow", static_cast<double>(p.flow)}});
+  }
+  if (on_drop_) on_drop_(p);
+}
+
 void Link::send(Packet p) {
   obs::TraceRecorder* tr = net_tracer();
   obs::TelemetryHub* th = net_telemetry();
@@ -64,11 +72,7 @@ void Link::send(Packet p) {
   const double flow = static_cast<double>(p.flow);
   if (!config_.coalesced_events) {
     if (auto rejected = queue_->enqueue(std::move(p), engine_.now())) {
-      if (tr != nullptr) {
-        tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_.now(),
-                    rejected->trace, {{"flow", flow}});
-      }
-      if (on_drop_) on_drop_(*rejected);
+      report_drop(*rejected);
       return;
     }
     if (tr != nullptr) {
@@ -86,11 +90,7 @@ void Link::send(Packet p) {
   // end-of-serialization event (which fired at avail_at_) did.
   pump();
   if (auto rejected = queue_->enqueue(std::move(p), engine_.now())) {
-    if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_.now(),
-                  rejected->trace, {{"flow", flow}});
-    }
-    if (on_drop_) on_drop_(*rejected);
+    report_drop(*rejected);
     return;
   }
   if (tr != nullptr) {

@@ -70,6 +70,10 @@ class Link {
 
   /// Offers a packet to the egress queue and kicks the transmitter.
   void send(Packet p);
+  /// A packet this link's egress queue discarded: traced as a "drop" and
+  /// handed to the drop hook. send() reports its own rejects; the RSVP
+  /// agent reports the packets a reservation teardown discards.
+  void report_drop(const Packet& p);
 
   /// Serialization time of a packet of the given size on this link.
   [[nodiscard]] Duration transmission_time(std::uint32_t bytes) const;

@@ -146,7 +146,9 @@ void RsvpAgent::remove_on_link(NodeId neighbor, FlowId flow) {
   if (neighbor == kInvalidNode) return;
   Link* link = net_.link_between(node_, neighbor);
   if (link == nullptr) return;
-  if (auto* q = dynamic_cast<IntServQueue*>(&link->queue())) q->remove_reservation(flow);
+  auto* q = dynamic_cast<IntServQueue*>(&link->queue());
+  if (q == nullptr) return;
+  for (const Packet& p : q->remove_reservation(flow)) link->report_drop(p);
 }
 
 void RsvpAgent::handle(NodeId node, Packet&& p) {

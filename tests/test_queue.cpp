@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace aqm::net {
 namespace {
 
@@ -209,6 +211,28 @@ TEST(IntServQueue, RemoveReservationDemotesQueuedPackets) {
   EXPECT_EQ(q.packets(), 2u);  // still queued, now as best effort
   EXPECT_TRUE(q.dequeue(t0).has_value());
   EXPECT_TRUE(q.dequeue(t0).has_value());
+}
+
+TEST(IntServQueue, RemoveReservationReturnsWhatBestEffortCannotTake) {
+  // Both storage modes: the demoted packets that do not fit in a full
+  // best-effort queue are counted as drops and handed back to the caller.
+  for (const bool legacy : {false, true}) {
+    IntServQueue::Config cfg = shaping_config();
+    cfg.legacy_flow_map = legacy;
+    IntServQueue q(cfg);
+    q.install_reservation(7, 8000.0, 1000, t0);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      ASSERT_FALSE(q.enqueue(make_packet(400 + i, dscp::kBestEffort, 7), t0).has_value());
+    }
+    for (int i = 0; i < 3; ++i) ASSERT_FALSE(q.enqueue(make_packet(100), t0).has_value());
+    const std::vector<Packet> dropped = q.remove_reservation(7);
+    ASSERT_EQ(dropped.size(), 2u) << "legacy=" << legacy;  // one slot was free
+    EXPECT_EQ(dropped[0].size_bytes, 401u);
+    EXPECT_EQ(dropped[1].size_bytes, 402u);
+    EXPECT_EQ(q.stats().dropped, 2u);
+    EXPECT_EQ(q.packets(), 4u);
+    EXPECT_TRUE(q.remove_reservation(7).empty());  // nothing left to tear down
+  }
 }
 
 TEST(IntServQueue, ReservedRateSumsFlows) {

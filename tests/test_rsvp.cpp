@@ -141,6 +141,57 @@ TEST_F(RsvpFixture, ReservationFromReceiverSideSeparateDirection) {
   EXPECT_TRUE(*ok);
 }
 
+TEST(RsvpTeardown, DemotionDropsReachTheNetworkCounters) {
+  // Releasing a reservation demotes the flow's queued packets to best
+  // effort. With best effort full, the overflow is dropped, and those
+  // drops must reach Network::on_drop like any other queue drop, so that
+  // every flow still balances sent = delivered + dropped.
+  sim::Engine engine;
+  Network net(engine);
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 1e6;
+  cfg.propagation = microseconds(100);
+  IntServQueue::Config qc;
+  qc.best_effort_capacity = 4;
+  qc.flow_capacity = 50;
+  qc.excess_to_best_effort = false;  // hold flow 7's backlog in its own queue
+  net.add_link(a, b, cfg, std::make_unique<IntServQueue>(qc));
+  net.add_link(b, a, cfg);
+  RsvpAgent at_a(net, a);
+  RsvpAgent at_b(net, b);
+  std::optional<bool> ok;
+  at_a.reserve(7, b, FlowSpec{100e3, 2'000}, [&](Status<std::string> s) { ok = s.ok(); });
+  engine.run();
+  ASSERT_TRUE(ok && *ok);
+
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    for (const FlowId f : {FlowId{7}, FlowId{9}}) {
+      Packet p;
+      p.src = a;
+      p.dst = b;
+      p.size_bytes = 1000;
+      p.flow = f;
+      p.seq = i;
+      net.send(a, std::move(p));
+    }
+  }
+  const auto* q = dynamic_cast<const IntServQueue*>(&net.link_between(a, b)->queue());
+  ASSERT_NE(q, nullptr);
+  const std::uint64_t drops_before = q->stats().dropped;
+  at_a.release(7);
+  engine.run();
+  ASSERT_GT(q->stats().dropped, drops_before);  // the teardown did discard packets
+  for (const FlowId f : {FlowId{7}, FlowId{9}}) {
+    const FlowCounters& c = net.flow(f);
+    EXPECT_EQ(c.sent, 20u) << "flow " << f;
+    EXPECT_EQ(c.sent, c.delivered + c.dropped) << "flow " << f;
+  }
+  EXPECT_GT(net.flow(7).dropped, 0u);
+  EXPECT_EQ(net.totals().dropped, q->stats().dropped);
+}
+
 TEST(RsvpTimeout, FailsAfterRetriesWhenPathBroken) {
   sim::Engine engine;
   Network net(engine);
