@@ -3,8 +3,9 @@
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
+
+#include "obs/json_out.hpp"
 
 namespace aqm::obs {
 
@@ -89,27 +90,6 @@ void TraceRecorder::clear() {
 
 namespace {
 
-/// JSON-escapes into `out` (names/labels are ASCII identifiers in
-/// practice, but stay safe on arbitrary input).
-void escape(std::string& out, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
 const char* phase_code(TracePhase p) {
   switch (p) {
     case TracePhase::Complete: return "X";
@@ -121,82 +101,53 @@ const char* phase_code(TracePhase p) {
   return "i";
 }
 
-/// Chrome timestamps are microseconds; emit with nanosecond precision.
-void append_us(std::string& out, std::int64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%" PRId64 ".%03d", ns / 1000,
-                static_cast<int>(ns % 1000));
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
 }  // namespace
 
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
-  std::string line;
-  line.reserve(256);
-  os << "{\"traceEvents\":[\n";
-  os << R"({"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"aqm-sim"}})";
+  detail::JsonOut out(os);
+  out << "{\"traceEvents\":[\n"
+      << R"({"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"aqm-sim"}})";
   for (std::size_t t = 0; t < track_names_.size(); ++t) {
-    line.clear();
-    line += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
-    line += std::to_string(t);
-    line += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    escape(line, track_names_[t]);
-    line += "\"}}";
-    os << line;
+    out << ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":" << t
+        << ",\"name\":\"thread_name\",\"args\":{\"name\":";
+    out.str(track_names_[t]) << "}}";
   }
+  // Chrome timestamps are microseconds; emit with nanosecond precision.
+  const auto micros = [&out](std::int64_t ns) {
+    char buf[40];
+    const int n = std::snprintf(buf, sizeof buf, "%" PRId64 ".%03d", ns / 1000,
+                                static_cast<int>(ns % 1000));
+    out << std::string_view(buf, static_cast<std::size_t>(n));
+  };
   for_each([&](const TraceEvent& e) {
-    line.clear();
-    line += ",\n{\"ph\":\"";
-    line += phase_code(e.phase);
-    line += "\",\"pid\":1,\"tid\":";
-    line += std::to_string(e.track);
-    line += ",\"ts\":";
-    append_us(line, e.ts_ns);
+    out << ",\n{\"ph\":\"" << phase_code(e.phase) << "\",\"pid\":1,\"tid\":" << e.track
+        << ",\"ts\":";
+    micros(e.ts_ns);
     if (e.phase == TracePhase::Complete) {
-      line += ",\"dur\":";
-      append_us(line, e.dur_ns);
+      out << ",\"dur\":";
+      micros(e.dur_ns);
     }
-    line += ",\"cat\":\"";
-    line += to_string(e.cat);
-    line += "\",\"name\":\"";
-    escape(line, e.name != nullptr ? e.name : "?");
-    line += "\"";
-    if (e.phase == TracePhase::Instant) line += ",\"s\":\"t\"";
+    out << ",\"cat\":\"" << to_string(e.cat) << "\",\"name\":";
+    out.str(e.name != nullptr ? e.name : "?");
+    if (e.phase == TracePhase::Instant) out << ",\"s\":\"t\"";
     if (e.id != 0 || e.phase == TracePhase::AsyncBegin || e.phase == TracePhase::AsyncEnd) {
-      line += ",\"id\":\"";
-      line += std::to_string(e.id);
-      line += "\"";
+      out << ",\"id\":\"" << e.id << '"';
     }
     if (e.argc > 0) {
-      line += ",\"args\":{";
+      out << ",\"args\":{";
       for (std::uint8_t i = 0; i < e.argc; ++i) {
-        if (i > 0) line += ",";
-        line += "\"";
-        escape(line, e.args[i].key);
-        line += "\":";
-        append_double(line, e.args[i].value);
+        if (i > 0) out << ',';
+        out.key(e.args[i].key) << e.args[i].value;
       }
-      line += "}";
+      out << '}';
     }
-    line += "}";
-    os << line;
+    out << '}';
   });
-  os << "\n]}\n";
+  out << "\n]}\n";
 }
 
 bool TraceRecorder::write_chrome_json_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  write_chrome_json(os);
-  os.flush();
-  return static_cast<bool>(os);
+  return detail::write_file(path, [this](std::ostream& os) { write_chrome_json(os); });
 }
 
 }  // namespace aqm::obs

@@ -114,8 +114,6 @@ class TraceRecorder {
   /// Events lost to ring overwrites since the last clear().
   [[nodiscard]] std::uint64_t overwritten() const { return overwritten_; }
 
-  void set_categories(std::uint32_t mask) { categories_ = mask; }
-  [[nodiscard]] std::uint32_t categories() const { return categories_; }
   [[nodiscard]] bool wants(TraceCategory c) const {
     return enabled_ && (categories_ & static_cast<std::uint32_t>(c)) != 0;
   }
