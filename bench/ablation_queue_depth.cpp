@@ -4,22 +4,14 @@
 // the paper sees excursions "to over a second".
 //
 // The five depths are independent trials on the shard-parallel experiment
-// runner (--jobs N); output is byte-identical for every worker count —
-// including the --metrics sidecar, whose snapshots are merged in trial
-// order. --trace FILE records the first trial as Chrome trace-event JSON.
-//
-// --slo FILE enables per-flow SLO monitoring (both senders bound to a
-// 250 ms window-p99 / 5% drop-rate objective, which the congested trials
-// breach) and writes the deterministic health-event sidecar; --flight FILE
-// writes the flight-recorder dumps cut at each breach. Both sidecars are
-// byte-identical for any --jobs.
+// runner (--jobs N); output and every sidecar are byte-identical for every
+// worker count. With --slo or --flight, both senders are bound to a 250 ms
+// window-p99 / 5% drop-rate objective, which the congested trials breach.
 #include <iostream>
-#include <vector>
 
 #include "common/priority_scenario.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 
 int main(int argc, char** argv) {
@@ -32,77 +24,27 @@ int main(int argc, char** argv) {
 
   const std::size_t depths[] = {100, 250, 500, 1000, 2000};
 
-  const bool telemetry = !opts.slo_path.empty() || !opts.flight_path.empty();
   obs::SloSpec slo;
   slo.max_p99_latency_ms = 250.0;
   slo.max_drop_rate = 0.05;
 
   core::Experiment<PriorityScenarioResult> exp;
-  bool first = true;
   for (const std::size_t depth : depths) {
     PriorityScenarioConfig cfg;
     cfg.duration = seconds(12);
     cfg.cross_traffic = true;
     cfg.queue_pkts = depth;
-    cfg.collect_metrics = !opts.metrics_path.empty();
-    cfg.trace = first && !opts.trace_path.empty();
-    cfg.telemetry = telemetry;
-    if (telemetry) {
-      cfg.sender1_policy = PolicyBuilder::sender(core::kFlowSender1).slo(slo);
-      cfg.sender2_policy = PolicyBuilder::sender(core::kFlowSender2).slo(slo);
-    }
-    first = false;
     exp.add("queue-depth-" + std::to_string(depth), cfg.seed,
-            [cfg](const core::TrialSpec&) { return run_priority_scenario(cfg); });
+            [cfg, slo](const core::TrialSpec& spec) {
+              PriorityScenarioConfig c = cfg;
+              if (spec.telemetry) {
+                c.sender1_policy = PolicyBuilder::sender(core::kFlowSender1).slo(slo);
+                c.sender2_policy = PolicyBuilder::sender(core::kFlowSender2).slo(slo);
+              }
+              return run_priority_scenario(c, spec);
+            });
   }
   const auto results = exp.run(opts);
-
-  if (!opts.slo_path.empty()) {
-    std::vector<obs::NamedHealthReport> reports;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      reports.push_back({exp.spec(i).name, results[i].health});
-    }
-    if (obs::write_health_sidecar_file(opts.slo_path, reports)) {
-      std::cerr << "health events written to " << opts.slo_path << "\n";
-    } else {
-      std::cerr << "failed to write health events to " << opts.slo_path << "\n";
-      return 1;
-    }
-  }
-  if (!opts.flight_path.empty()) {
-    std::vector<obs::NamedFlightDumps> dumps;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      dumps.push_back({exp.spec(i).name, results[i].flight_dumps});
-    }
-    if (obs::write_flight_sidecar_file(opts.flight_path, dumps)) {
-      std::cerr << "flight dumps written to " << opts.flight_path << "\n";
-    } else {
-      std::cerr << "failed to write flight dumps to " << opts.flight_path << "\n";
-      return 1;
-    }
-  }
-
-  if (!opts.metrics_path.empty()) {
-    std::vector<obs::NamedSnapshot> snaps;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      snaps.push_back({exp.spec(i).name, results[i].metrics});
-    }
-    if (obs::write_metrics_sidecar_file(opts.metrics_path, snaps)) {
-      std::cerr << "metrics written to " << opts.metrics_path << "\n";
-    } else {
-      std::cerr << "failed to write metrics to " << opts.metrics_path << "\n";
-      return 1;
-    }
-  }
-  if (!opts.trace_path.empty() && results[0].trace != nullptr) {
-    if (results[0].trace->write_chrome_json_file(opts.trace_path)) {
-      std::cerr << "trace (" << results[0].trace->size() << " events) written to "
-                << opts.trace_path << "\n";
-    } else {
-      std::cerr << "failed to write trace to " << opts.trace_path << "\n";
-      return 1;
-    }
-  }
 
   TextTable table({"queue(pkts)", "theoretical ceiling(ms)", "s1 mean(ms)",
                    "s1 max(ms)", "s1 loss%"});

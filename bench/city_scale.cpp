@@ -42,8 +42,6 @@ struct CityConfig {
   std::size_t flows_per_host = 16;   // total flows = hosts * flows_per_host
   int packets_per_flow = 8;
   double parent_rate_bps = 0.0;      // > 0: HTB parent on the core egress
-  bool collect_metrics = false;      // fill CityResult::metrics
-  bool telemetry = false;            // fill CityResult::health (drop-rate SLOs)
 };
 
 struct CityResult {
@@ -58,8 +56,8 @@ struct CityResult {
   // End-to-end latency sums at the sink (ns), split reserved vs. the rest.
   std::int64_t reserved_latency_ns = 0;
   std::int64_t other_latency_ns = 0;
-  obs::MetricsSnapshot metrics;  // --metrics sidecar payload
-  obs::HealthReport health;      // --slo sidecar payload
+  obs::MetricsSnapshot metrics;  // filled when spec.metrics
+  obs::HealthReport health;      // filled when spec.telemetry (drop-rate SLOs)
 
   [[nodiscard]] double reserved_latency_ms() const {
     return reserved_delivered == 0
@@ -77,7 +75,7 @@ struct CityResult {
 
 bool is_reserved(net::FlowId f) { return (f - 1) % 8 == 0; }
 
-CityResult run_city(const CityConfig& cfg) {
+CityResult run_city(const CityConfig& cfg, const core::TrialSpec& spec) {
   sim::Engine engine;
   engine.reserve(1 << 16);
   net::Network net(engine);
@@ -140,7 +138,7 @@ CityResult run_city(const CityConfig& cfg) {
   // land on hosts over the whole burst stagger — late hosts hit the
   // saturated core uplink and their best-effort monitors breach.
   obs::TelemetryHub hub;
-  if (cfg.telemetry) {
+  if (spec.telemetry) {
     obs::SloSpec slo;
     slo.max_drop_rate = 0.05;
     const std::uint64_t stride = n_flows < 64 ? 1 : n_flows / 64;
@@ -194,7 +192,7 @@ CityResult run_city(const CityConfig& cfg) {
   out.core_reserved_rate_bps = core_egress.reserved_rate_bps();
   out.core_dropped = core_egress.stats().dropped;
 
-  if (cfg.collect_metrics) {
+  if (spec.metrics) {
     // Totals plus a probe flow per traffic class (full per-flow export at
     // 256k flows would be a ~1.5M-line sidecar).
     obs::MetricsRegistry reg;
@@ -214,7 +212,7 @@ CityResult run_city(const CityConfig& cfg) {
     out.metrics = reg.snapshot();
   }
 
-  if (cfg.telemetry) {
+  if (spec.telemetry) {
     hub.finalize(engine.now());
     out.health = hub.report();
   }
@@ -244,38 +242,10 @@ int main(int argc, char** argv) {
 
   core::Experiment<CityResult> exp;
   for (const auto& c : cases) {
-    CityConfig cfg = c.cfg;
-    cfg.collect_metrics = !opts.metrics_path.empty();
-    cfg.telemetry = !opts.slo_path.empty();
-    exp.add(c.name, /*seed=*/cfg.hosts * cfg.flows_per_host,
-            [cfg](const core::TrialSpec&) { return run_city(cfg); });
+    exp.add(c.name, /*seed=*/c.cfg.hosts * c.cfg.flows_per_host,
+            [cfg = c.cfg](const core::TrialSpec& spec) { return run_city(cfg, spec); });
   }
   const auto results = exp.run(opts);
-
-  if (!opts.slo_path.empty()) {
-    std::vector<obs::NamedHealthReport> reports;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      reports.push_back({exp.spec(i).name, results[i].health});
-    }
-    if (obs::write_health_sidecar_file(opts.slo_path, reports)) {
-      std::cerr << "health events written to " << opts.slo_path << "\n";
-    } else {
-      std::cerr << "failed to write health events to " << opts.slo_path << "\n";
-      return 1;
-    }
-  }
-  if (!opts.metrics_path.empty()) {
-    std::vector<obs::NamedSnapshot> snaps;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      snaps.push_back({exp.spec(i).name, results[i].metrics});
-    }
-    if (obs::write_metrics_sidecar_file(opts.metrics_path, snaps)) {
-      std::cerr << "metrics written to " << opts.metrics_path << "\n";
-    } else {
-      std::cerr << "failed to write metrics to " << opts.metrics_path << "\n";
-      return 1;
-    }
-  }
 
   TextTable table({"scenario", "flows", "sent", "delivered", "dropped",
                    "resv delivered", "resv lat (ms)", "BE lat (ms)",

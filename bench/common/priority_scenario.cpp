@@ -15,7 +15,8 @@
 
 namespace aqm::bench {
 
-PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) {
+PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
+                                             const core::TrialSpec& spec) {
   core::PriorityTestbedParams params;
   params.diffserv_bottleneck = cfg.diffserv_router ||
                                cfg.sender1_policy.map_priority_to_dscp ||
@@ -27,7 +28,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
 
   PriorityScenarioResult result;
 
-  if (cfg.trace) {
+  if (spec.trace) {
     result.trace = std::make_shared<obs::TraceRecorder>();
     bed.engine.set_tracer(result.trace.get());
   }
@@ -36,10 +37,10 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
   // SLO specs land on it. With full tracing off, the hub's flight ring
   // doubles as the engine tracer (lossy, bounded, near-zero cost).
   std::unique_ptr<obs::TelemetryHub> hub;
-  if (cfg.telemetry) {
+  if (spec.telemetry) {
     hub = std::make_unique<obs::TelemetryHub>(cfg.telemetry_config);
     bed.engine.set_telemetry(hub.get());
-    if (cfg.trace) {
+    if (spec.trace) {
       hub->set_dump_source(result.trace.get());
     } else {
       bed.engine.set_tracer(&hub->flight());
@@ -50,7 +51,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
   // receiver (swap_receiver chains it as downstream). Feeds jitter into
   // the hub and the "recv.*" registry names.
   std::unique_ptr<net::FlowMonitor> monitor;
-  if (cfg.collect_metrics || cfg.telemetry) {
+  if (spec.metrics || spec.telemetry) {
     monitor = std::make_unique<net::FlowMonitor>(bed.network, bed.receiver_node);
   }
 
@@ -122,7 +123,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
     result.health = hub->report();
     result.flight_dumps = hub->dumps();
     bed.engine.set_telemetry(nullptr);
-    if (!cfg.trace) bed.engine.set_tracer(nullptr);
+    if (!spec.trace) bed.engine.set_tracer(nullptr);
   }
   if (monitor) {
     const net::FlowId f1 = cfg.sender1_policy.flow.value_or(core::kFlowSender1);
@@ -133,7 +134,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
     result.s2_dropped = monitor->dropped(f2);
   }
 
-  if (cfg.collect_metrics) {
+  if (spec.metrics) {
     obs::MetricsRegistry reg;
     bed.sender_orb.export_metrics(reg, "orb.sender");
     bed.receiver_orb.export_metrics(reg, "orb.receiver");

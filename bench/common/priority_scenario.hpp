@@ -12,6 +12,7 @@
 #include "common/policy_builder.hpp"
 #include "common/stats.hpp"
 #include "net/dscp.hpp"
+#include "core/experiment.hpp"
 #include "core/qos_policy.hpp"
 #include "core/testbed.hpp"
 #include "obs/metrics.hpp"
@@ -64,17 +65,7 @@ struct PriorityScenarioConfig {
   std::uint64_t seed = 11;
   std::uint64_t cross_seed = 42;
 
-  /// Record a causal trace of the whole trial into result.trace (Chrome
-  /// trace-event JSON via TraceRecorder::write_chrome_json). Off for
-  /// sweeps: tracing stores every ORB/link/queue event.
-  bool trace = false;
-  /// Fill result.metrics with ORB/network/CPU counters at trial end.
-  bool collect_metrics = false;
-  /// Attach a TelemetryHub to the engine for the trial: per-flow SLO specs
-  /// on the sender policies are installed through QoSSession, the flight
-  /// ring records (as the engine tracer unless `trace` already claims it),
-  /// and result.health / result.flight_dumps carry the outcome.
-  bool telemetry = false;
+  /// Hub configuration when the trial spec asks for telemetry.
   obs::TelemetryConfig telemetry_config{};
 };
 
@@ -85,17 +76,21 @@ struct PriorityScenarioResult {
   std::uint64_t s2_sent = 0;
   std::uint64_t s1_received = 0;
   std::uint64_t s2_received = 0;
-  /// Receiver-side FlowMonitor accounting (zeros unless cfg.collect_metrics
-  /// or cfg.telemetry installed the monitor).
+  /// Receiver-side FlowMonitor accounting (zeros unless the trial spec
+  /// asked for metrics or telemetry, which install the monitor).
   double s1_jitter_ms = 0.0;
   double s2_jitter_ms = 0.0;
   std::uint64_t s1_dropped = 0;
   std::uint64_t s2_dropped = 0;
-  /// Trial-end metrics snapshot (empty unless cfg.collect_metrics).
+  /// Trial-end ORB/network/CPU metrics snapshot (empty unless spec.metrics).
   obs::MetricsSnapshot metrics;
-  /// Recorded trial trace (null unless cfg.trace).
+  /// Causal trace of the whole trial (null unless spec.trace). Tracing
+  /// stores every ORB/link/queue event.
   std::shared_ptr<obs::TraceRecorder> trace;
-  /// Health stream + flight dumps (empty unless cfg.telemetry).
+  /// Health stream + flight dumps (empty unless spec.telemetry). Per-flow
+  /// SLO specs on the sender policies are installed through QoSSession,
+  /// and the flight ring records as the engine tracer unless the trace
+  /// already claims it.
   obs::HealthReport health;
   std::vector<obs::FlightDump> flight_dumps;
 
@@ -104,8 +99,10 @@ struct PriorityScenarioResult {
 };
 
 /// Builds a PriorityTestbed (DiffServ bottleneck iff requested or implied
-/// by a priority->DSCP mapping policy) and runs the scenario to completion.
-PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg);
+/// by a priority->DSCP mapping policy) and runs the scenario to completion,
+/// collecting what `spec` asks for.
+PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
+                                             const core::TrialSpec& spec);
 
 /// Prints the per-second latency series of both senders side by side —
 /// the textual equivalent of the paper's latency-vs-time figures.

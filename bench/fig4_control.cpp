@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
 
   core::Experiment<PriorityScenarioResult> exp;
   exp.add("fig4a-idle", idle.seed,
-          [idle](const core::TrialSpec&) { return run_priority_scenario(idle); });
-  exp.add("fig4b-congested", congested.seed, [congested](const core::TrialSpec&) {
-    return run_priority_scenario(congested);
+          [idle](const core::TrialSpec& spec) { return run_priority_scenario(idle, spec); });
+  exp.add("fig4b-congested", congested.seed, [congested](const core::TrialSpec& spec) {
+    return run_priority_scenario(congested, spec);
   });
   const auto results = exp.run(opts);
   const auto& idle_result = results[0];

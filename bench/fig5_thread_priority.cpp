@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
 
   core::Experiment<PriorityScenarioResult> exp;
   exp.add("fig5a-quiet-net", base.seed,
-          [base](const core::TrialSpec&) { return run_priority_scenario(base); });
-  exp.add("fig5b-congested", congested.seed, [congested](const core::TrialSpec&) {
-    return run_priority_scenario(congested);
+          [base](const core::TrialSpec& spec) { return run_priority_scenario(base, spec); });
+  exp.add("fig5b-congested", congested.seed, [congested](const core::TrialSpec& spec) {
+    return run_priority_scenario(congested, spec);
   });
   const auto results = exp.run(opts);
   const auto& a = results[0];

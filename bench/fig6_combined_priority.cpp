@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
 
   core::Experiment<PriorityScenarioResult> exp;
   exp.add("fig6-combined", cfg.seed,
-          [cfg](const core::TrialSpec&) { return run_priority_scenario(cfg); });
+          [cfg](const core::TrialSpec& spec) { return run_priority_scenario(cfg, spec); });
   exp.add("fig6-ref-thread-only", fig5b.seed,
-          [fig5b](const core::TrialSpec&) { return run_priority_scenario(fig5b); });
+          [fig5b](const core::TrialSpec& spec) { return run_priority_scenario(fig5b, spec); });
   const auto results = exp.run(opts);
   const auto& r = results[0];
   const auto& r5 = results[1];

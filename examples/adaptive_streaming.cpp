@@ -15,7 +15,8 @@
 // the contract's immediate frame filtering (reaction 1) sheds enough load
 // that the SLO recovers within ~1s — one breach/recovery pair in the
 // health-event sidecar; --flight FILE writes the flight-recorder dumps
-// cut at each breach.
+// cut at each breach. The run is a one-trial core::Experiment, which
+// writes the sidecars.
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -34,26 +35,35 @@
 #include "quo/contract.hpp"
 #include "quo/syscond.hpp"
 
-int main(int argc, char** argv) {
-  using namespace aqm;
+namespace {
 
-  const auto opts = core::parse_experiment_options(argc, argv);
+using namespace aqm;
 
+struct StreamResult {
+  obs::MetricsSnapshot metrics;
+  obs::HealthReport health;
+  std::vector<obs::FlightDump> flight_dumps;
+  std::shared_ptr<obs::TraceRecorder> trace;
+};
+
+StreamResult run_stream(const core::TrialSpec& spec) {
+  StreamResult out;
   core::ReservationTestbed bed((core::ReservationTestbedParams{}));
   const media::GopStructure gop = media::GopStructure::mpeg1_paper_profile();
 
-  obs::TraceRecorder tracer;
-  if (!opts.trace_path.empty()) bed.engine.set_tracer(&tracer);
+  if (spec.trace) {
+    out.trace = std::make_shared<obs::TraceRecorder>();
+    bed.engine.set_tracer(out.trace.get());
+  }
 
   // Telemetry: the video flow runs under a drop-rate SLO. With full
   // tracing off, the hub's lossy flight ring doubles as the engine tracer
   // so breach dumps still have events to cut.
-  const bool telemetry = !opts.slo_path.empty() || !opts.flight_path.empty();
   obs::TelemetryHub hub;
-  if (telemetry) {
+  if (spec.telemetry) {
     bed.engine.set_telemetry(&hub);
-    if (!opts.trace_path.empty()) {
-      hub.set_dump_source(&tracer);
+    if (spec.trace) {
+      hub.set_dump_source(out.trace.get());
     } else {
       bed.engine.set_tracer(&hub.flight());
     }
@@ -158,7 +168,7 @@ int main(int argc, char** argv) {
   bed.engine.run_until(TimePoint{seconds(63).ns()});
   reporter.stop();
 
-  if (telemetry) hub.finalize(bed.engine.now());
+  if (spec.telemetry) hub.finalize(bed.engine.now());
 
   const auto lat = stats.latency_series().stats();
   std::cout << "\nresults:\n"
@@ -171,20 +181,12 @@ int main(int argc, char** argv) {
             << "\n"
             << "  receiver jitter (RFC 3550)          : "
             << monitor.jitter_ms(core::kFlowVideo) << " ms\n";
-  if (telemetry) {
+  if (spec.telemetry) {
     std::cout << "  SLO health transitions              : " << hub.events().size()
               << " (flight dumps: " << hub.dumps().size() << ")\n";
   }
 
-  if (!opts.trace_path.empty()) {
-    if (!tracer.write_chrome_json_file(opts.trace_path)) {
-      std::cerr << "failed to write trace to " << opts.trace_path << "\n";
-      return 1;
-    }
-    std::cerr << "trace (" << tracer.size() << " events, " << tracer.track_count()
-              << " tracks) written to " << opts.trace_path << "\n";
-  }
-  if (!opts.metrics_path.empty()) {
+  if (spec.metrics) {
     obs::MetricsRegistry reg;
     bed.sender_orb.export_metrics(reg, "orb.sender");
     bed.receiver_orb.export_metrics(reg, "orb.receiver");
@@ -192,37 +194,28 @@ int main(int argc, char** argv) {
     bed.sender_cpu.export_metrics(reg, "cpu.sender");
     bed.receiver_cpu.export_metrics(reg, "cpu.receiver");
     monitor.export_metrics(reg, "recv");
-    if (telemetry) hub.export_metrics(reg, "telemetry");
+    if (spec.telemetry) hub.export_metrics(reg, "telemetry");
     reg.counter("stream.frames_sourced").set(stats.source_count());
     reg.counter("stream.frames_transmitted").set(stats.transmitted_count());
     reg.counter("stream.frames_received").set(stats.received_count());
     reg.counter("stream.frames_decodable").set(stats.decodable_count());
     reg.counter("quo.contract_transitions").set(contract.transition_count());
     reg.stats("stream.latency_ms").merge(lat);
-    const std::vector<obs::NamedSnapshot> snaps{{"adaptive_streaming", reg.snapshot()}};
-    if (!obs::write_metrics_sidecar_file(opts.metrics_path, snaps)) {
-      std::cerr << "failed to write metrics to " << opts.metrics_path << "\n";
-      return 1;
-    }
-    std::cerr << "metrics written to " << opts.metrics_path << "\n";
+    out.metrics = reg.snapshot();
   }
-  if (!opts.slo_path.empty()) {
-    const std::vector<obs::NamedHealthReport> reports{
-        {"adaptive_streaming", hub.report()}};
-    if (!obs::write_health_sidecar_file(opts.slo_path, reports)) {
-      std::cerr << "failed to write health events to " << opts.slo_path << "\n";
-      return 1;
-    }
-    std::cerr << "health events written to " << opts.slo_path << "\n";
+  if (spec.telemetry) {
+    out.health = hub.report();
+    out.flight_dumps = hub.dumps();
   }
-  if (!opts.flight_path.empty()) {
-    const std::vector<obs::NamedFlightDumps> dumps{
-        {"adaptive_streaming", hub.dumps()}};
-    if (!obs::write_flight_sidecar_file(opts.flight_path, dumps)) {
-      std::cerr << "failed to write flight dumps to " << opts.flight_path << "\n";
-      return 1;
-    }
-    std::cerr << "flight dumps written to " << opts.flight_path << "\n";
-  }
+  return out;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const auto opts = aqm::core::parse_experiment_options(argc, argv);
+  aqm::core::Experiment<StreamResult> exp;
+  exp.add("adaptive_streaming", /*seed=*/0, run_stream);
+  (void)exp.run(opts);
   return 0;
 }

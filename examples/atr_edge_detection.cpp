@@ -11,6 +11,7 @@
 
 #include "common/stats.hpp"
 #include "core/cpu_reservation_manager.hpp"
+#include "core/experiment.hpp"
 #include "core/testbed.hpp"
 #include "imgproc/edge.hpp"
 #include "imgproc/ppm.hpp"
@@ -18,8 +19,9 @@
 #include "orb/orb.hpp"
 #include "os/load_generator.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace aqm;
+  core::reject_arguments(argc, argv);
 
   // --- real pixel processing first -----------------------------------------------
   std::cout << "generating a 400x250 synthetic reconnaissance scene...\n";

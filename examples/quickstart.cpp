@@ -8,6 +8,7 @@
 #include <iostream>
 #include <memory>
 
+#include "core/experiment.hpp"
 #include "net/network.hpp"
 #include "orb/interceptor.hpp"
 #include "orb/orb.hpp"
@@ -68,8 +69,9 @@ class AuditServerInterceptor final : public orb::ServerRequestInterceptor {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace aqm;
+  core::reject_arguments(argc, argv);
 
   // --- substrate: one engine, two hosts, one link ------------------------------
   sim::Engine engine;

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "core/experiment.hpp"
 #include "core/scheduling_service.hpp"
 #include "cos/events.hpp"
 #include "cos/naming.hpp"
@@ -20,8 +21,9 @@
 #include "os/cpu.hpp"
 #include "sim/engine.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace aqm;
+  core::reject_arguments(argc, argv);
 
   // --- hosts ------------------------------------------------------------------
   sim::Engine engine;

@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "avstreams/stream.hpp"
+#include "core/experiment.hpp"
 #include "media/frame_filter.hpp"
 #include "media/video_sink.hpp"
 #include "media/video_source.hpp"
@@ -21,8 +22,9 @@
 #include "quo/contract.hpp"
 #include "quo/syscond.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace aqm;
+  core::reject_arguments(argc, argv);
 
   // --- topology -------------------------------------------------------------
   sim::Engine engine;

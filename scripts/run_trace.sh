@@ -4,7 +4,9 @@
 # trace-event JSON (load it at https://ui.perfetto.dev or
 # chrome://tracing), and the metrics sidecar must be byte-identical
 # regardless of --jobs, which this script also verifies via the
-# ablation_queue_depth sweep at 1 and 4 workers.
+# ablation_queue_depth sweep at 1 and 4 workers. Finally it drives every
+# driver with each sidecar flag: each pair must refuse the flag (exit 2)
+# or write valid, --jobs-invariant JSON.
 #
 # Usage: scripts/run_trace.sh [build-dir] [out-dir]
 set -euo pipefail
@@ -77,6 +79,49 @@ assert events > 0, "no SLO breach events in the congested sweep"
 assert doc["merged"]["events"] == events, "merged event count mismatch"
 print(f"   {events} health events across {len(doc['trials'])} trials")
 EOF
+
+# Sidecar matrix (DESIGN.md §6): core::Experiment writes every sidecar, and
+# a flag whose sidecar the driver's result type cannot carry exits 2 before
+# any trial runs. So every (program, flag) pair must either exit 2 without
+# writing the file, or exit 0 with valid JSON that is byte-identical at
+# --jobs 1 and --jobs 4. Exiting 0 without the file is the failure.
+echo "== sidecar matrix: every driver x --trace/--metrics/--slo/--flight"
+matrix_dir="$(mktemp -d)"
+trap 'rm -rf "$matrix_dir"' EXIT
+for bin in bench/fig2_priority_propagation bench/fig4_control \
+           bench/fig5_thread_priority bench/fig6_combined_priority \
+           bench/fig7_reservation bench/table1_network_reservation \
+           bench/table2_cpu_reservation bench/ablation_combined_policy \
+           bench/ablation_priority_reservation bench/ablation_queue_depth \
+           bench/ablation_red_ecn bench/city_scale bench/flash_crowd \
+           examples/adaptive_streaming; do
+  written=()
+  refused=()
+  for flag in trace metrics slo flight; do
+    j1="$matrix_dir/j1.json"
+    j4="$matrix_dir/j4.json"
+    rm -f "$j1" "$j4"
+    rc=0
+    "$build_dir/$bin" --jobs 1 "--$flag" "$j1" > /dev/null 2>&1 || rc=$?
+    if [[ $rc -eq 2 ]]; then
+      if [[ -e "$j1" ]]; then
+        echo "FAIL: $bin --$flag exited 2 but wrote $j1" >&2
+        exit 1
+      fi
+      refused+=("--$flag")
+      continue
+    fi
+    if [[ $rc -ne 0 || ! -s "$j1" ]]; then
+      echo "FAIL: $bin --$flag exited $rc without refusing the flag or writing the sidecar" >&2
+      exit 1
+    fi
+    "$build_dir/$bin" --jobs 4 "--$flag" "$j4" > /dev/null 2>&1
+    python3 -m json.tool "$j1" > /dev/null
+    cmp "$j1" "$j4"
+    written+=("--$flag")
+  done
+  echo "   $(basename "$bin"): writes ${written[*]:-none}; refuses ${refused[*]:-none}"
+done
 
 echo "done; open the *.trace.json files in https://ui.perfetto.dev"
 echo "flight dumps for post-mortems: $out_dir/queue_depth.flight.json"

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 namespace aqm::core {
 namespace {
@@ -31,6 +32,13 @@ bool parse_jobs_value(const char* text, unsigned& out) {
   std::exit(2);
 }
 
+const std::pair<const char*, std::string ExperimentOptions::*> kSidecarFlags[] = {
+    {"--trace", &ExperimentOptions::trace_path},
+    {"--metrics", &ExperimentOptions::metrics_path},
+    {"--slo", &ExperimentOptions::slo_path},
+    {"--flight", &ExperimentOptions::flight_path},
+};
+
 }  // namespace
 
 namespace detail {
@@ -40,6 +48,20 @@ void report_trial_done(bool enabled) {
   // deterministic report regardless of trial completion order.
   std::fputc('.', stderr);
   std::fflush(stderr);
+}
+
+void require_sidecar(const std::string& path, const char* flag, bool carried) {
+  if (path.empty() || carried) return;
+  std::fprintf(stderr, "%s is not supported by this program: its trials do not record it\n", flag);
+  std::exit(2);
+}
+
+void report_sidecar(bool written, const char* what, const std::string& path) {
+  if (!written) {
+    std::fprintf(stderr, "failed to write %s to %s\n", what, path.c_str());
+    std::exit(1);
+  }
+  std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
 }
 }  // namespace detail
 
@@ -56,32 +78,16 @@ ExperimentOptions parse_experiment_options(int& argc, char** argv) {
       value_in_next = true;
     } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
       value = arg + 2;
-    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      value = arg + 8;
-      path_target = &opts.trace_path;
-    } else if (std::strcmp(arg, "--trace") == 0) {
-      value_in_next = true;
-      path_target = &opts.trace_path;
-    } else if (std::strncmp(arg, "--metrics=", 10) == 0) {
-      value = arg + 10;
-      path_target = &opts.metrics_path;
-    } else if (std::strcmp(arg, "--metrics") == 0) {
-      value_in_next = true;
-      path_target = &opts.metrics_path;
-    } else if (std::strncmp(arg, "--slo=", 6) == 0) {
-      value = arg + 6;
-      path_target = &opts.slo_path;
-    } else if (std::strcmp(arg, "--slo") == 0) {
-      value_in_next = true;
-      path_target = &opts.slo_path;
-    } else if (std::strncmp(arg, "--flight=", 9) == 0) {
-      value = arg + 9;
-      path_target = &opts.flight_path;
-    } else if (std::strcmp(arg, "--flight") == 0) {
-      value_in_next = true;
-      path_target = &opts.flight_path;
     } else {
-      unknown_argument_error(arg);
+      for (const auto& [flag, path] : kSidecarFlags) {
+        const std::size_t n = std::strlen(flag);
+        if (std::strncmp(arg, flag, n) != 0 || (arg[n] != '\0' && arg[n] != '=')) continue;
+        path_target = &(opts.*path);
+        value_in_next = arg[n] == '\0';
+        if (!value_in_next) value = arg + n + 1;
+        break;
+      }
+      if (path_target == nullptr) unknown_argument_error(arg);
     }
     if (value_in_next) {
       if (i + 1 >= argc) {
@@ -106,6 +112,12 @@ ExperimentOptions parse_experiment_options(int& argc, char** argv) {
   argc = 1;
   argv[argc] = nullptr;
   return opts;
+}
+
+void reject_arguments(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::fprintf(stderr, "unrecognised argument: %s\nthis program takes no arguments\n", argv[1]);
+  std::exit(2);
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {

@@ -5,8 +5,7 @@
 // Design constraints, in order:
 //  * ~Free when disabled. Every instrumentation point is guarded by a
 //    single pointer test (Engine::tracer_for returns nullptr unless a
-//    recorder is attached AND wants the category), and the whole layer
-//    compiles out with -DAQM_OBS_ENABLED=0.
+//    recorder is attached AND wants the category).
 //  * Allocation-free steady state when enabled. Events are 64-byte PODs
 //    appended into recycled fixed-size chunks; names are `const char*`
 //    (string literals or strings interned once per distinct label).
@@ -35,10 +34,6 @@
 #include <vector>
 
 #include "common/time.hpp"
-
-#ifndef AQM_OBS_ENABLED
-#define AQM_OBS_ENABLED 1
-#endif
 
 namespace aqm::obs {
 
@@ -170,7 +165,6 @@ class TraceRecorder {
 
   [[nodiscard]] std::size_t size() const { return total_; }
   [[nodiscard]] bool empty() const { return total_ == 0; }
-  [[nodiscard]] std::size_t track_count() const { return track_names_.size(); }
 
   /// Invokes fn(const TraceEvent&) over all events in record order
   /// (oldest surviving event first when the ring has wrapped).

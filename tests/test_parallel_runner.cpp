@@ -2,7 +2,9 @@
 // transmitter:
 //  * ParallelRunner mechanics: full coverage of indices, exception
 //    propagation out of worker threads, inline fallback.
-//  * parse_experiment_options / derive_seed helpers.
+//  * parse_experiment_options / derive_seed helpers, and the sidecar
+//    pipeline: what run() asks of trials, and the exit-2 refusal of a flag
+//    whose sidecar the result type cannot carry.
 //  * Worker-count invariance: a 32-trial load sweep produces bit-identical
 //    per-trial results at 1, 2 and 8 workers (the determinism contract).
 //  * Event-coalescing equivalence: per-flow delivered/dropped counts on a
@@ -13,8 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -24,6 +30,9 @@
 #include "net/network.hpp"
 #include "net/queue.hpp"
 #include "net/traffic_gen.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_runner.hpp"
 
@@ -116,6 +125,118 @@ TEST(ExperimentOptions, DefaultIsSerial) {
   char* argv[] = {a0, nullptr};
   int argc = 1;
   EXPECT_EQ(core::parse_experiment_options(argc, argv).jobs, 1u);
+}
+
+// --- sidecars: what run() asks of trials and what it refuses -----------------
+
+// Each type carries every sidecar member but the one its flag needs.
+struct NoTrace {
+  obs::MetricsSnapshot metrics;
+  obs::HealthReport health;
+  std::vector<obs::FlightDump> flight_dumps;
+};
+struct NoMetrics {
+  obs::HealthReport health;
+  std::vector<obs::FlightDump> flight_dumps;
+  std::shared_ptr<obs::TraceRecorder> trace;
+};
+struct NoHealth {
+  obs::MetricsSnapshot metrics;
+  std::vector<obs::FlightDump> flight_dumps;
+  std::shared_ptr<obs::TraceRecorder> trace;
+};
+struct NoFlightDumps {
+  obs::MetricsSnapshot metrics;
+  obs::HealthReport health;
+  std::shared_ptr<obs::TraceRecorder> trace;
+};
+
+struct UnsupportedFlag {
+  const char* flag;
+  void (*run)(const core::ExperimentOptions&);
+};
+
+void PrintTo(const UnsupportedFlag& p, std::ostream* os) { *os << p.flag; }
+
+/// Runs one trial that exits 3 if it is ever called.
+template <typename Result>
+void run_untouchable_trial(const core::ExperimentOptions& opts) {
+  core::Experiment<Result> exp;
+  exp.add("trial", 1, [](const core::TrialSpec&) -> Result { std::_Exit(3); });
+  (void)exp.run(opts);
+}
+
+class ExperimentSidecarFlag : public ::testing::TestWithParam<UnsupportedFlag> {};
+
+TEST_P(ExperimentSidecarFlag, ResultWithoutTheMemberExitsTwoBeforeAnyTrial) {
+  const UnsupportedFlag& p = GetParam();
+  const std::string path = ::testing::TempDir() + "unsupported_sidecar.json";
+  std::remove(path.c_str());
+  const auto parse_and_run = [&] {
+    std::vector<std::string> args{"prog", p.flag, path};
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    int argc = static_cast<int>(args.size());
+    p.run(core::parse_experiment_options(argc, argv.data()));
+  };
+  EXPECT_EXIT(parse_and_run(), ::testing::ExitedWithCode(2),
+              std::string(p.flag) + " is not supported");
+  EXPECT_FALSE(std::ifstream(path).good()) << p.flag << " left a file behind";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFlags, ExperimentSidecarFlag,
+    ::testing::Values(UnsupportedFlag{"--trace", &run_untouchable_trial<NoTrace>},
+                      UnsupportedFlag{"--metrics", &run_untouchable_trial<NoMetrics>},
+                      UnsupportedFlag{"--slo", &run_untouchable_trial<NoHealth>},
+                      UnsupportedFlag{"--flight", &run_untouchable_trial<NoFlightDumps>}),
+    [](const ::testing::TestParamInfo<UnsupportedFlag>& info) {
+      return std::string(info.param.flag + 2);
+    });
+
+TEST(ExperimentSidecars, TrialSpecCarriesTheRequestedSidecars) {
+  struct Out {
+    obs::MetricsSnapshot metrics;
+    obs::HealthReport health;
+    std::vector<obs::FlightDump> flight_dumps;
+    std::shared_ptr<obs::TraceRecorder> trace;
+    core::TrialSpec spec;
+  };
+  core::Experiment<Out> exp;
+  for (int i = 0; i < 3; ++i) {
+    exp.add("t" + std::to_string(i), 0,
+            [](const core::TrialSpec& s) { return Out{{}, {}, {}, {}, s}; });
+  }
+  const std::string dir = ::testing::TempDir();
+  core::ExperimentOptions opts;
+  opts.jobs = 2;
+  opts.progress = false;
+  opts.trace_path = dir + "spec_routing.trace.json";
+  opts.flight_path = dir + "spec_routing.flight.json";
+  const auto results = exp.run(opts);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_FALSE(results[i].spec.metrics);
+    EXPECT_TRUE(results[i].spec.telemetry);  // --flight needs the hub
+    EXPECT_EQ(results[i].spec.trace, i == 0) << "only trial 0 is traced";
+  }
+  // A trial that returns no recorder still yields a (valid, empty) trace.
+  std::ifstream trace(opts.trace_path);
+  EXPECT_TRUE(trace.good());
+  std::remove(opts.trace_path.c_str());
+  std::remove(opts.flight_path.c_str());
+}
+
+TEST(ExperimentSidecars, UnwritableSidecarExitsOne) {
+  struct Out {
+    obs::MetricsSnapshot metrics;
+  };
+  core::Experiment<Out> exp;
+  exp.add("t", 0, [](const core::TrialSpec&) { return Out{}; });
+  core::ExperimentOptions opts;
+  opts.progress = false;
+  opts.metrics_path = ::testing::TempDir() + "no-such-dir/metrics.json";
+  EXPECT_EXIT((void)exp.run(opts), ::testing::ExitedWithCode(1), "failed to write metrics");
 }
 
 TEST(DeriveSeed, DecorrelatesIndices) {

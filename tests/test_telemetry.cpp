@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -332,7 +334,7 @@ TEST(QoSSessionSlo, RequiresFlowAndHub) {
 
 struct ScenarioOut {
   obs::HealthReport health;
-  std::vector<obs::FlightDump> dumps;
+  std::vector<obs::FlightDump> flight_dumps;
 };
 
 // One trial: a 10 Mbps link with a 20-packet drop-tail queue; a burst at
@@ -379,7 +381,7 @@ ScenarioOut run_congestion_trial(std::size_t burst) {
 
   ScenarioOut out;
   out.health = hub.report();
-  out.dumps = hub.dumps();
+  out.flight_dumps = hub.dumps();
   return out;
 }
 
@@ -405,8 +407,8 @@ TEST(TelemetryScenario, CongestionBreachThenRecoveryWithFlightDump) {
   EXPECT_GE(out.health.flows.at(5u).recoveries, 1u);
 
   // The breach cut a flight dump whose events are attributed to the flow.
-  ASSERT_FALSE(out.dumps.empty());
-  const obs::FlightDump& d = out.dumps[0];
+  ASSERT_FALSE(out.flight_dumps.empty());
+  const obs::FlightDump& d = out.flight_dumps[0];
   EXPECT_EQ(d.flow, 5u);
   ASSERT_FALSE(d.events.empty());
   bool saw_drop = false;
@@ -427,17 +429,32 @@ TEST(TelemetryScenario, SidecarsByteIdenticalForAnyJobs) {
     return exp;
   };
 
-  auto render = [&](unsigned jobs) {
+  // Renders the health and flight sidecars at `jobs` workers, either by
+  // hand from the results or through the experiment's own pipeline.
+  auto render = [&](unsigned jobs, bool pipeline) {
     core::Experiment<ScenarioOut> exp = build();
     core::ExperimentOptions opts;
     opts.jobs = jobs;
     opts.progress = false;
+    if (pipeline) {
+      const std::string base = ::testing::TempDir() + "sidecars_j" + std::to_string(jobs);
+      opts.slo_path = base + ".health.json";
+      opts.flight_path = base + ".flight.json";
+      (void)exp.run(opts);
+      const auto slurp = [](const std::string& path) {
+        std::ostringstream os;
+        os << std::ifstream(path).rdbuf();
+        std::remove(path.c_str());
+        return os.str();
+      };
+      return std::make_pair(slurp(opts.slo_path), slurp(opts.flight_path));
+    }
     const auto results = exp.run(opts);
     std::vector<obs::NamedHealthReport> reports;
     std::vector<obs::NamedFlightDumps> dumps;
     for (std::size_t i = 0; i < results.size(); ++i) {
       reports.push_back({exp.spec(i).name, results[i].health});
-      dumps.push_back({exp.spec(i).name, results[i].dumps});
+      dumps.push_back({exp.spec(i).name, results[i].flight_dumps});
     }
     std::ostringstream health;
     std::ostringstream flight;
@@ -446,10 +463,14 @@ TEST(TelemetryScenario, SidecarsByteIdenticalForAnyJobs) {
     return std::make_pair(health.str(), flight.str());
   };
 
-  const auto serial = render(1);
-  const auto parallel = render(4);
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second);
+  const auto serial = render(1, false);
+  for (const bool pipeline : {false, true}) {
+    for (const unsigned jobs : {1u, 4u}) {
+      const auto other = render(jobs, pipeline);
+      EXPECT_EQ(serial.first, other.first) << "jobs=" << jobs << " pipeline=" << pipeline;
+      EXPECT_EQ(serial.second, other.second) << "jobs=" << jobs << " pipeline=" << pipeline;
+    }
+  }
   EXPECT_NE(serial.first.find("\"breach\""), std::string::npos);
 }
 
