@@ -169,7 +169,8 @@ int main(int argc, char** argv) {
     const auto& resv = reserved.per_algorithm_ms[i];
     const double inflation = 100.0 * (load.mean() / base.mean() - 1.0);
     table.row({img::to_string(kAlgorithms[i]), fmt(base.mean(), 1), fmt(base.stddev(), 1),
-               fmt(load.mean(), 1), fmt(load.stddev(), 1), "+" + fmt(inflation, 0) + "%",
+               fmt(load.mean(), 1), fmt(load.stddev(), 1),
+               std::string("+").append(fmt(inflation, 0)).append("%"),
                fmt(resv.mean(), 1), fmt(resv.stddev(), 1)});
   }
   table.print();

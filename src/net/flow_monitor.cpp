@@ -82,6 +82,4 @@ void FlowMonitor::export_metrics(obs::MetricsRegistry& reg,
   });
 }
 
-void FlowMonitor::clear() { flows_.clear(); }
-
 }  // namespace aqm::net

@@ -52,8 +52,6 @@ class FlowMonitor {
   /// Emission is in ascending FlowId order (via observed_flows()).
   void export_metrics(obs::MetricsRegistry& reg, std::string_view prefix) const;
 
-  void clear();
-
  private:
   struct PerFlow {
     TimeSeries latency_ms;

@@ -16,9 +16,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/time.hpp"
 #include "net/flow_table.hpp"
 #include "net/link.hpp"
@@ -52,6 +52,7 @@ class Network {
   NodeId add_node(std::string name);
 
   /// Adds a unidirectional link. Queue defaults to a drop-tail FIFO of 1000.
+  /// At most one link per (from, to): a duplicate aborts.
   Link& add_link(NodeId from, NodeId to, LinkConfig config,
                  std::unique_ptr<Queue> queue = nullptr);
 
@@ -106,23 +107,27 @@ class Network {
   void deliver_local(NodeId node, Packet&& p);
   void forward(NodeId from, Packet&& p);
   void ensure_routes() const;
+  /// links_ position of the first link from -> dst; kNoLink if unreachable.
+  [[nodiscard]] std::uint32_t route(NodeId from, NodeId dst) const;
   void on_drop(const Packet& p);
 
-  /// Directed-edge key for the hashed link table.
+  /// Directed-edge key for the link index.
   [[nodiscard]] static std::uint64_t link_key(NodeId from, NodeId to) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
            static_cast<std::uint32_t>(to);
   }
 
+  static constexpr std::uint32_t kNoLink = common::FlatIndex<std::uint64_t>::kNoSlot;
+
   sim::Engine& engine_;
   std::vector<Node> nodes_;
-  /// Hashed adjacency: (from,to) key -> link. Never iterated for anything
-  /// order-sensitive — ensure_routes() sorts the per-node neighbor lists it
-  /// derives, so routes stay identical to the old ordered-map build.
-  std::unordered_map<std::uint64_t, std::unique_ptr<Link>> links_;
+  /// Links in add order, and (from,to) key -> position in links_.
+  std::vector<std::unique_ptr<Link>> links_;
+  common::FlatIndex<std::uint64_t> link_index_;
 
-  // next_hop_[from * n + dst]; kInvalidNode when unreachable. Rebuilt lazily.
-  mutable std::vector<NodeId> next_hop_table_;
+  // route_link_[from * n + dst]: position in links_ of the first hop's
+  // link; kNoLink when unreachable. Rebuilt lazily.
+  mutable std::vector<std::uint32_t> route_link_;
   mutable bool routes_dirty_ = true;
 
   /// Per-flow counters in a flat indexed table (DESIGN.md §10); export

@@ -189,11 +189,10 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
     flows_.emplace(flow, FlowState{TokenBucket{rate_bps, bucket_bytes, now}, {}});
     return;
   }
-  const auto it = slot_of_.find(flow);
-  if (it != slot_of_.end()) {
+  if (const std::uint32_t slot = slot_of_.find(flow); slot != FlowIndex::kNoSlot) {
     // Modify: swap in the new bucket, keep the queued packets. The rate
     // changed in the middle of id order, so the running sum goes stale.
-    flow_bucket_[it->second] = TokenBucket{rate_bps, bucket_bytes, now};
+    flow_bucket_[slot] = TokenBucket{rate_bps, bucket_bytes, now};
     reserved_dirty_ = true;
     return;
   }
@@ -208,7 +207,7 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
     flow_bucket_.emplace_back(rate_bps, bucket_bytes, now);
     flow_fifo_.emplace_back();
   }
-  slot_of_.emplace(flow, slot);
+  slot_of_.insert(flow, slot);
   // Incremental sum, PR-5 idiom: an append at the end of id order extends
   // the running value exactly as the legacy scan would; anything else is
   // recomputed lazily in id order, so the result stays bit-identical.
@@ -232,9 +231,9 @@ bool IntServQueue::update_reservation(FlowId flow, double rate_bps,
     it->second.bucket.reconfigure(rate_bps, bucket_bytes, now);
     return true;
   }
-  const auto it = slot_of_.find(flow);
-  if (it == slot_of_.end()) return false;
-  flow_bucket_[it->second].reconfigure(rate_bps, bucket_bytes, now);
+  const std::uint32_t slot = slot_of_.find(flow);
+  if (slot == FlowIndex::kNoSlot) return false;
+  flow_bucket_[slot].reconfigure(rate_bps, bucket_bytes, now);
   // The rate changed in the middle of id order: the running sum goes stale
   // and is recomputed lazily in id order (bit-identical to the legacy scan).
   reserved_dirty_ = true;
@@ -277,12 +276,10 @@ std::vector<Packet> IntServQueue::remove_reservation(FlowId flow) {
     flows_.erase(it);
     return dropped;
   }
-  const auto it = slot_of_.find(flow);
-  if (it == slot_of_.end()) return dropped;
-  const std::uint32_t slot = it->second;
+  const std::uint32_t slot = slot_of_.erase(flow);
+  if (slot == FlowIndex::kNoSlot) return dropped;
   while (flow_fifo_[slot].len > 0) demote(flow_pop(slot, flow));
   free_slots_.push_back(slot);
-  slot_of_.erase(it);
   flow_order_.erase(std::lower_bound(flow_order_.begin(), flow_order_.end(),
                                      std::pair<FlowId, std::uint32_t>{flow, slot}));
   reserved_dirty_ = true;
@@ -294,8 +291,8 @@ double IntServQueue::flow_rate_bps(FlowId flow) const {
     const auto it = flows_.find(flow);
     return it == flows_.end() ? 0.0 : it->second.bucket.rate_bps();
   }
-  const auto it = slot_of_.find(flow);
-  return it == slot_of_.end() ? 0.0 : flow_bucket_[it->second].rate_bps();
+  const std::uint32_t slot = slot_of_.find(flow);
+  return slot == FlowIndex::kNoSlot ? 0.0 : flow_bucket_[slot].rate_bps();
 }
 
 double IntServQueue::reserved_rate_bps() const {
@@ -327,9 +324,8 @@ std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
     control_.push_back(std::move(p));
     return std::nullopt;
   }
-  const auto it = p.flow != kNoFlow ? slot_of_.find(p.flow) : slot_of_.end();
-  if (it != slot_of_.end()) {
-    const std::uint32_t slot = it->second;
+  const std::uint32_t slot = p.flow != kNoFlow ? slot_of_.find(p.flow) : FlowIndex::kNoSlot;
+  if (slot != FlowIndex::kNoSlot) {
     if (config_.excess_to_best_effort) {
       // Policing: pay for the packet now; conforming packets get the
       // guaranteed queue, excess falls through to best effort below.

@@ -16,9 +16,9 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/time.hpp"
 #include "net/dscp.hpp"
 #include "net/packet.hpp"
@@ -163,7 +163,7 @@ class DiffServQueue final : public Queue {
 /// Control-plane (CS6) packets bypass into a dedicated high-priority
 /// sub-queue so signaling survives congestion.
 ///
-/// Per-flow state is flat SoA (DESIGN.md §10): a hashed FlowId -> dense-slot
+/// Per-flow state is flat SoA (DESIGN.md §10): a FlatIndex FlowId -> dense-slot
 /// index over struct-of-arrays fields (token bucket, FIFO head/tail into a
 /// shared packet-node pool, queue length), with two explicit ordered
 /// FlowId indexes — all reserved flows (admission re-sums) and the ready
@@ -220,7 +220,8 @@ class IntServQueue final : public Queue {
     return parent_ ? parent_->rate_bps() : 0.0;
   }
   [[nodiscard]] bool has_reservation(FlowId flow) const {
-    return config_.legacy_flow_map ? flows_.count(flow) > 0 : slot_of_.count(flow) > 0;
+    return config_.legacy_flow_map ? flows_.count(flow) > 0
+                                   : slot_of_.find(flow) != FlowIndex::kNoSlot;
   }
   /// Sum of reserved rates. O(1) amortized: maintained incrementally on
   /// id-order appends and recomputed lazily (in id order, so the value is
@@ -293,8 +294,9 @@ class IntServQueue final : public Queue {
   Config config_;
   /// Legacy oracle storage (config_.legacy_flow_map == true).
   std::map<FlowId, FlowState> flows_;  // ordered: deterministic service order
-  /// Indexed storage: hashed id -> slot over SoA per-flow fields.
-  std::unordered_map<FlowId, std::uint32_t> slot_of_;
+  /// Indexed storage: flat id -> slot index over SoA per-flow fields.
+  using FlowIndex = common::FlatIndex<FlowId>;
+  FlowIndex slot_of_;
   std::vector<TokenBucket> flow_bucket_;    // by slot
   std::vector<FlowFifo> flow_fifo_;         // by slot
   std::vector<std::uint32_t> free_slots_;

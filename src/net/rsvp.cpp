@@ -151,7 +151,7 @@ void RsvpAgent::remove_on_link(NodeId neighbor, FlowId flow) {
   for (const Packet& p : q->remove_reservation(flow)) link->report_drop(p);
 }
 
-void RsvpAgent::handle(NodeId node, Packet&& p) {
+void RsvpAgent::handle([[maybe_unused]] NodeId node, Packet&& p) {
   assert(node == node_);
   switch (p.kind) {
     case PacketKind::RsvpPath:

@@ -24,15 +24,12 @@ TelemetryHub::TelemetryHub(TelemetryConfig cfg)
 
 TelemetryHub::FlowState& TelemetryHub::flow_state(std::uint64_t flow) {
   if (flow == mru_flow_ && mru_flow_ != 0) return flows_[mru_slot_];
-  const auto it = flow_index_.find(flow);
-  std::uint32_t slot;
-  if (it != flow_index_.end()) {
-    slot = it->second;
-  } else {
+  std::uint32_t slot = flow_index_.find(flow);
+  if (slot == FlowIndex::kNoSlot) {
     slot = static_cast<std::uint32_t>(flows_.size());
     flows_.emplace_back();
     flows_.back().id = flow;
-    flow_index_.emplace(flow, slot);
+    flow_index_.insert(flow, slot);
   }
   mru_flow_ = flow;
   mru_slot_ = slot;
@@ -65,9 +62,9 @@ void TelemetryHub::watch(std::uint64_t flow) {
 }
 
 void TelemetryHub::clear_slo(std::uint64_t flow) {
-  const auto it = flow_index_.find(flow);
-  if (it == flow_index_.end()) return;
-  FlowState& f = flows_[it->second];
+  const std::uint32_t slot = flow_index_.find(flow);
+  if (slot == FlowIndex::kNoSlot) return;
+  FlowState& f = flows_[slot];
   f.spec = SloSpec{};
   f.has_spec = false;
   f.bad_streak = 0;
@@ -75,9 +72,9 @@ void TelemetryHub::clear_slo(std::uint64_t flow) {
 }
 
 const SloSpec* TelemetryHub::slo(std::uint64_t flow) const {
-  const auto it = flow_index_.find(flow);
-  if (it == flow_index_.end() || !flows_[it->second].has_spec) return nullptr;
-  return &flows_[it->second].spec;
+  const std::uint32_t slot = flow_index_.find(flow);
+  if (slot == FlowIndex::kNoSlot || !flows_[slot].has_spec) return nullptr;
+  return &flows_[slot].spec;
 }
 
 void TelemetryHub::roll(FlowState& f, std::int64_t now_ns) {
@@ -293,7 +290,7 @@ void TelemetryHub::poll(TimePoint now) {
     if (f.windowed) ids.push_back(f.id);
   }
   std::sort(ids.begin(), ids.end());
-  for (const std::uint64_t id : ids) roll(flows_[flow_index_.at(id)], now.ns());
+  for (const std::uint64_t id : ids) roll(flows_[flow_index_.find(id)], now.ns());
 }
 
 void TelemetryHub::finalize(TimePoint now) {
@@ -307,8 +304,8 @@ void TelemetryHub::finalize(TimePoint now) {
 }
 
 bool TelemetryHub::breached(std::uint64_t flow) const {
-  const auto it = flow_index_.find(flow);
-  return it != flow_index_.end() && flows_[it->second].breached;
+  const std::uint32_t slot = flow_index_.find(flow);
+  return slot != FlowIndex::kNoSlot && flows_[slot].breached;
 }
 
 WindowStats TelemetryHub::window(std::uint64_t flow, TimePoint now) {

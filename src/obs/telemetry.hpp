@@ -33,9 +33,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
@@ -298,7 +298,8 @@ class TelemetryHub {
 
   std::int64_t window_ns_;
   Histogram window_scratch_;  // merge target for window_stats()
-  std::unordered_map<std::uint64_t, std::uint32_t> flow_index_;
+  using FlowIndex = common::FlatIndex<std::uint64_t>;
+  FlowIndex flow_index_;  // flow id -> flows_ slot
 
   std::vector<HealthEvent> events_;
   std::vector<FlightDump> dumps_;

@@ -25,9 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <optional>
 #include <random>
 #include <vector>
@@ -45,24 +43,7 @@
 #include "orb/servant.hpp"
 #include "os/cpu.hpp"
 #include "sim/engine.hpp"
-
-// --- counting allocator ------------------------------------------------------
-
-namespace {
-std::uint64_t g_heap_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_heap_allocs;
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace aqm::core {
 namespace {
@@ -233,7 +214,7 @@ TEST_F(ControlPlaneFixture, RestampPathDoesNotAllocate) {
   const std::uint64_t v0 = state->version;
 
   // Steady state: per-invocation knob re-stamps are pure in-place writes.
-  const std::uint64_t before = g_heap_allocs;
+  const std::uint64_t before = test::heap_allocs();
   for (int i = 0; i < 100; ++i) {
     policy.priority = 12'000 + (i % 2) * 1'000;
     policy.deadline = milliseconds(5 + i % 3);
@@ -246,7 +227,7 @@ TEST_F(ControlPlaneFixture, RestampPathDoesNotAllocate) {
       continue;
     }
   }
-  EXPECT_EQ(g_heap_allocs, before);
+  EXPECT_EQ(test::heap_allocs(), before);
   // Every one of those was a real stamp on the live binding.
   EXPECT_EQ(state->version, v0 + 100 + 200);
 }

@@ -53,6 +53,8 @@ struct Outcome {
   std::vector<std::pair<std::int64_t, JobId>> completions;
   std::vector<std::string> probes;
   std::vector<ReserveId> reserves_created;
+  // update_reserve outcome per call: "ok" or the error text.
+  std::vector<std::string> updates;
   std::int64_t final_busy_ns = 0;
   std::int64_t end_time_ns = 0;
   std::size_t leftover_jobs = 0;
@@ -113,9 +115,10 @@ Outcome run_script(const std::vector<Op>& script, const CpuConfig& base_config,
         }
         case Op::Kind::UpdateReserve:
           if (!created.empty()) {
-            cpu.update_reserve(
+            const auto r = cpu.update_reserve(
                 created[static_cast<std::size_t>(op.reserve_slot) % created.size()],
                 {op.compute, op.period, op.hard});
+            out.updates.push_back(r.ok() ? "ok" : r.error());
           }
           break;
         case Op::Kind::DestroyReserve:
@@ -152,6 +155,7 @@ void expect_identical(const Outcome& indexed, const Outcome& legacy,
                       const std::string& label) {
   SCOPED_TRACE(label);
   EXPECT_EQ(indexed.reserves_created, legacy.reserves_created);
+  EXPECT_EQ(indexed.updates, legacy.updates);
   EXPECT_EQ(indexed.completions, legacy.completions);
   EXPECT_EQ(indexed.probes, legacy.probes);
   EXPECT_EQ(indexed.final_busy_ns, legacy.final_busy_ns);

@@ -14,30 +14,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-// --- counting allocator ------------------------------------------------------
-
-namespace {
-std::uint64_t g_heap_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_heap_allocs;
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace aqm::sim {
 namespace {
@@ -217,9 +199,9 @@ TEST(EngineAllocation, SteadyStateHoldLoopIsAllocationFree) {
   // has reached its steady-state capacity.
   for (int i = 0; i < 200'000; ++i) ASSERT_TRUE(e.step());
 
-  const std::uint64_t before = g_heap_allocs;
+  const std::uint64_t before = test::heap_allocs();
   for (int i = 0; i < 50'000; ++i) ASSERT_TRUE(e.step());
-  EXPECT_EQ(g_heap_allocs - before, 0u)
+  EXPECT_EQ(test::heap_allocs() - before, 0u)
       << "schedule->fire loop allocated on the heap";
   EXPECT_GT(sink, 0u);
 }

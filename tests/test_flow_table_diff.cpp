@@ -64,18 +64,39 @@ TEST(FlowMap, ZeroIsARealKey) {
 }
 
 TEST(FlowMap, OrderedIterationIsAscending) {
-  FlowMap<int> m;
-  for (const FlowId id : {9u, 2u, 40u, 1u, 17u}) m[id] = static_cast<int>(id * 10);
-  m.erase(40);
-  m[4] = 40;  // recycles 40's slot: order must follow ids, not slots
-  const std::vector<FlowId> want{1, 2, 4, 9, 17};
-  EXPECT_EQ(m.sorted_ids(), want);
-  std::vector<FlowId> seen;
-  m.for_each_ordered([&](FlowId id, const int& v) {
-    seen.push_back(id);
-    EXPECT_EQ(v, static_cast<int>(id * 10));
-  });
-  EXPECT_EQ(seen, want);
+  // Each script inserts 9, 2, 40, 1, 17, then erases (-id) and inserts
+  // (+id) in order; iteration must follow ids, never slots.
+  struct Script {
+    const char* name;
+    std::vector<std::int64_t> ops;
+    std::vector<FlowId> want;
+  };
+  const std::vector<Script> scripts{
+      {"recycled slot", {-40, +4}, {1, 2, 4, 9, 17}},
+      // 9 comes back in 2's old slot, leaving its own slot freed with a
+      // stale id in it.
+      {"erase/re-insert", {-9, -2, +9}, {1, 9, 17, 40}},
+  };
+  for (const Script& script : scripts) {
+    SCOPED_TRACE(script.name);
+    FlowMap<int> m;
+    for (const FlowId id : {9u, 2u, 40u, 1u, 17u}) m[id] = static_cast<int>(id * 10);
+    for (const std::int64_t op : script.ops) {
+      const auto id = static_cast<FlowId>(op < 0 ? -op : op);
+      if (op < 0) {
+        EXPECT_TRUE(m.erase(id));
+      } else {
+        m[id] = static_cast<int>(id * 10);
+      }
+    }
+    EXPECT_EQ(m.sorted_ids(), script.want);
+    std::vector<FlowId> seen;
+    m.for_each_ordered([&](FlowId id, const int& v) {
+      seen.push_back(id);
+      EXPECT_EQ(v, static_cast<int>(id * 10));
+    });
+    EXPECT_EQ(seen, script.want);
+  }
 }
 
 // --- hierarchical token bucket ----------------------------------------------

@@ -95,6 +95,37 @@ TEST(Network, ShortestPathPreferred) {
   EXPECT_EQ(net.path(a, b).size(), 2u);
 }
 
+TEST(Network, EqualCostRoutesTakeTheLowestNeighbourWhateverTheAddOrder) {
+  sim::Engine e;
+  Network net(e);
+  const NodeId a = net.add_node("a");
+  const NodeId r1 = net.add_node("r1");
+  const NodeId r2 = net.add_node("r2");
+  const NodeId b = net.add_node("b");
+  // Two equal-cost paths a-r1-b and a-r2-b; the r2 side is added first.
+  net.add_duplex_link(r2, b, fast_link());
+  net.add_duplex_link(a, r2, fast_link());
+  net.add_duplex_link(r1, b, fast_link());
+  net.add_duplex_link(a, r1, fast_link());
+  EXPECT_EQ(net.next_hop(a, b), r1);
+  EXPECT_EQ(net.path(b, a), (std::vector<NodeId>{b, r1, a}));
+  net.set_receiver(b, [](Packet&&) {});
+  net.send(a, make_packet(b, 100));
+  e.run();
+  EXPECT_EQ(net.link_between(a, r1)->packets_transmitted(), 1u);
+  EXPECT_EQ(net.link_between(a, r2)->packets_transmitted(), 0u);
+  EXPECT_EQ(net.flow(1).delivered, 1u);
+}
+
+TEST(NetworkDeathTest, DuplicateLinkAborts) {
+  sim::Engine e;
+  Network net(e);
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  net.add_link(a, b, fast_link());
+  EXPECT_DEATH(net.add_link(a, b, fast_link()), "duplicate link a -> b");
+}
+
 TEST(Network, UnreachableDestinationDropsPacket) {
   sim::Engine e;
   Network net(e);

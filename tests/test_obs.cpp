@@ -4,11 +4,8 @@
 // causal trace propagation through the ORB and network.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -25,31 +22,7 @@
 #include "orb/orb.hpp"
 #include "os/cpu.hpp"
 #include "sim/engine.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-// std::get_temporary_buffer (std::inplace_merge) allocates with the nothrow
-// form; it must come from the same heap the replaced deletes free into.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace aqm {
 namespace {
@@ -528,9 +501,9 @@ TEST(MetricsSidecar, SingleTrialWriteAllocatesConstantTimes) {
     const obs::MetricsSnapshot snap = reg.snapshot();
     Discard sink;
     std::ostream os(&sink);
-    const std::uint64_t before = g_heap_allocs.load();
+    const std::uint64_t before = test::heap_allocs();
     obs::write_metrics_sidecar(os, {{"trial", snap}});
-    return g_heap_allocs.load() - before;
+    return test::heap_allocs() - before;
   };
   const std::uint64_t small = allocations_for(100);
   const std::uint64_t large = allocations_for(20000);

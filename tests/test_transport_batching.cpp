@@ -13,17 +13,14 @@
 //    warmed up, verified by counting global operator new. Self-delivery
 //    (dst == src bypasses links, whose delivery events intentionally
 //    capture whole packets) keeps the assertion scoped to the transport.
-// 4. Key128Map churn vs a reference std::map.
 #include "orb/transport.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -33,29 +30,11 @@
 #include "core/qos_session.hpp"
 #include "net/network.hpp"
 #include "net/red_queue.hpp"
-#include "orb/flat_index.hpp"
 #include "orb/orb.hpp"
 #include "orb/poa.hpp"
 #include "os/cpu.hpp"
 #include "sim/engine.hpp"
-
-// --- counting allocator ------------------------------------------------------
-
-namespace {
-std::uint64_t g_heap_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_heap_allocs;
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace aqm::orb {
 namespace {
@@ -645,57 +624,14 @@ TEST(BatchZeroAlloc, SteadyStateSendReceiveIsAllocationFree) {
   };
   for (int i = 0; i < 100; ++i) iteration();  // warm pools, tables, calendar
   const std::uint64_t msgs_before = msgs_seen;
-  const std::uint64_t allocs_before = g_heap_allocs;
+  const std::uint64_t allocs_before = test::heap_allocs();
   for (int i = 0; i < 50; ++i) iteration();
-  const std::uint64_t allocs = g_heap_allocs - allocs_before;
+  const std::uint64_t allocs = test::heap_allocs() - allocs_before;
   const std::uint64_t delivered = msgs_seen - msgs_before;
   EXPECT_EQ(allocs, 0u) << "steady-state batched send/receive allocated";
   EXPECT_EQ(delivered, 400u);
   EXPECT_EQ(bytes_seen, 900u * msgs_seen);
   EXPECT_EQ(t.messages_expired(), 0u);
-}
-
-// --- Key128Map ---------------------------------------------------------------
-
-TEST(FlatIndex, RandomChurnMatchesReferenceMap) {
-  Key128Map index;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> ref;
-  Lcg rng{99};
-  for (int i = 0; i < 20'000; ++i) {
-    const std::uint64_t hi = rng.next(40);
-    const std::uint64_t lo = rng.next(40);
-    const auto key = std::make_pair(hi, lo);
-    switch (rng.next(3)) {
-      case 0: {  // insert (if absent)
-        if (ref.count(key) == 0) {
-          const auto slot = static_cast<std::uint32_t>(rng.next(1 << 20));
-          index.insert(hi, lo, slot);
-          ref[key] = slot;
-        }
-        break;
-      }
-      case 1: {  // erase
-        index.erase(hi, lo);
-        ref.erase(key);
-        break;
-      }
-      default: {  // find
-        const std::uint32_t got = index.find(hi, lo);
-        const auto it = ref.find(key);
-        if (it == ref.end()) {
-          EXPECT_EQ(got, Key128Map::kNoSlot) << "op " << i;
-        } else {
-          EXPECT_EQ(got, it->second) << "op " << i;
-        }
-        break;
-      }
-    }
-    EXPECT_EQ(index.size(), ref.size());
-  }
-  // Full sweep at the end: every surviving key resolves, nothing extra.
-  for (const auto& [key, slot] : ref) {
-    EXPECT_EQ(index.find(key.first, key.second), slot);
-  }
 }
 
 }  // namespace
