@@ -27,34 +27,23 @@ Duration Link::transmission_time(std::uint32_t bytes) const {
   return Duration{static_cast<std::int64_t>(std::ceil(s * 1e9))};
 }
 
-obs::TraceRecorder* Link::net_tracer() {
-  obs::TraceRecorder* tr = engine_.tracer_for(obs::TraceCategory::Net);
-  if (tr != nullptr && trace_bound_ != tr) {
-    // First use (or recorder/name changed): bind this link's lane and hand
-    // the queue discipline the same lane for its internal decisions.
-    if (trace_name_.empty()) {
-      trace_name_ = "link:" + std::to_string(from_) + "->" + std::to_string(to_);
-    }
-    trace_track_ = tr->track(trace_name_);
-    qlen_name_ = tr->intern("qlen " + trace_name_);
-    queue_->set_tracer(tr, trace_track_);
-    trace_bound_ = tr;
+obs::TraceRecorder* Link::bind_trace_lane(obs::TraceRecorder* tr) {
+  if (tr == nullptr) return nullptr;
+  // First use (or recorder/name changed): bind this link's lane and hand
+  // the queue discipline the same lane for its internal decisions.
+  if (trace_name_.empty()) {
+    trace_name_ = "link:" + std::to_string(from_) + "->" + std::to_string(to_);
   }
+  trace_track_ = tr->track(trace_name_);
+  qlen_name_ = tr->intern("qlen " + trace_name_);
+  queue_->set_tracer(tr, trace_track_);
+  trace_bound_ = tr;
   return tr;
 }
 
 void Link::trace_qlen(obs::TraceRecorder* tr, TimePoint t) {
   tr->counter(obs::TraceCategory::Net, qlen_name_, trace_track_, t,
               static_cast<double>(queue_->packets()));
-}
-
-obs::TelemetryHub* Link::net_telemetry() {
-  obs::TelemetryHub* th = engine_.telemetry();
-  if (th != telemetry_bound_) {
-    queue_->set_telemetry(th);
-    telemetry_bound_ = th;
-  }
-  return th;
 }
 
 void Link::report_drop(const Packet& p) {
@@ -65,7 +54,7 @@ void Link::report_drop(const Packet& p) {
   if (on_drop_) on_drop_(p);
 }
 
-void Link::send(Packet p) {
+void Link::send(Packet&& p) {
   obs::TraceRecorder* tr = net_tracer();
   obs::TelemetryHub* th = net_telemetry();
   const std::uint64_t trace_id = p.trace;
@@ -155,7 +144,7 @@ void Link::service(TimePoint t) {
 /// delay later. Schedules the one externally visible event (delivery or
 /// corruption drop), which doubles as the catch-up point keeping the
 /// service chain alive.
-void Link::start_tx(Packet p, TimePoint t) {
+void Link::start_tx(Packet&& p, TimePoint t) {
   const Duration tx = transmission_time(p.size_bytes);
   busy_ns_ += tx.ns();
   ++tx_packets_;
@@ -168,13 +157,15 @@ void Link::start_tx(Packet p, TimePoint t) {
                   {"flow", static_cast<double>(p.flow)}});
     trace_qlen(tr, t);
   }
+  const std::uint32_t slot = park(std::move(p));
   // The loss draw moves from the end of serialization to its commit; draws
   // still happen exactly once per transmission in transmission order, so
   // the (seed, packet) mapping matches the legacy sequence bit for bit.
   if (config_.loss_probability > 0.0 && loss_rng_.bernoulli(config_.loss_probability)) {
     // A backdated commit can place tx end in the past; clamp the event to
     // now (the drop hook only feeds counters, never timing).
-    engine_.at(std::max(avail_at_, engine_.now()), [this, p = std::move(p)]() mutable {
+    engine_.at(std::max(avail_at_, engine_.now()), [this, slot] {
+      const Packet p = unpark(slot);
       ++corrupted_;
       if (obs::TraceRecorder* tr = net_tracer()) {
         tr->instant(obs::TraceCategory::Net, "corrupt", trace_track_, engine_.now(),
@@ -184,7 +175,8 @@ void Link::start_tx(Packet p, TimePoint t) {
       pump();
     });
   } else {
-    engine_.at(avail_at_ + config_.propagation, [this, p = std::move(p)]() mutable {
+    engine_.at(avail_at_ + config_.propagation, [this, slot] {
+      Packet p = unpark(slot);
       pump();
       if (obs::TraceRecorder* tr = net_tracer()) {
         tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_.now(),
@@ -193,6 +185,24 @@ void Link::start_tx(Packet p, TimePoint t) {
       if (deliver_) deliver_(std::move(p));
     });
   }
+}
+
+std::uint32_t Link::park(Packet&& p) {
+  if (free_in_flight_.empty()) {
+    in_flight_.push_back(std::move(p));
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+  }
+  const std::uint32_t slot = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  in_flight_[slot] = std::move(p);
+  return slot;
+}
+
+/// Moves the packet out, so the slot keeps no payload reference: the
+/// event that takes the packet holds the only one until its hook returns.
+Packet Link::unpark(std::uint32_t slot) {
+  free_in_flight_.push_back(slot);
+  return std::move(in_flight_[slot]);
 }
 
 void Link::legacy_try_transmit() {

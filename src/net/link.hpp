@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -69,7 +70,7 @@ class Link {
   void set_drop_hook(DropFn fn) { on_drop_ = std::move(fn); }
 
   /// Offers a packet to the egress queue and kicks the transmitter.
-  void send(Packet p);
+  void send(Packet&& p);
   /// A packet this link's egress queue discarded: traced as a "drop" and
   /// handed to the drop hook. send() reports its own rejects; the RSVP
   /// agent reports the packets a reservation teardown discards.
@@ -98,16 +99,33 @@ class Link {
   // --- coalesced path ---
   void pump();
   void service(TimePoint t);
-  void start_tx(Packet p, TimePoint t);
+  void start_tx(Packet&& p, TimePoint t);
+  /// In-flight slab: start_tx parks each committed packet in a slot and
+  /// its delivery or corruption event captures only {this, slot}, which
+  /// fits the engine's inline handler buffer (a lambda holding the
+  /// 128-byte Packet does not, and cost one heap allocation per hop).
+  std::uint32_t park(Packet&& p);
+  Packet unpark(std::uint32_t slot);
   // --- legacy path ---
   void legacy_try_transmit();
   // --- observability ---
   /// Engine recorder iff net tracing is on; binds the lane on first use.
-  [[nodiscard]] obs::TraceRecorder* net_tracer();
+  [[nodiscard]] obs::TraceRecorder* net_tracer() {
+    obs::TraceRecorder* tr = engine_.tracer_for(obs::TraceCategory::Net);
+    return tr == trace_bound_ ? tr : bind_trace_lane(tr);
+  }
+  obs::TraceRecorder* bind_trace_lane(obs::TraceRecorder* tr);
   void trace_qlen(obs::TraceRecorder* tr, TimePoint t);
   /// Engine telemetry hub; hands the queue discipline the same pointer
   /// when it changes (one compare per send, like the tracer binding).
-  [[nodiscard]] obs::TelemetryHub* net_telemetry();
+  [[nodiscard]] obs::TelemetryHub* net_telemetry() {
+    obs::TelemetryHub* th = engine_.telemetry();
+    if (th != telemetry_bound_) {
+      queue_->set_telemetry(th);
+      telemetry_bound_ = th;
+    }
+    return th;
+  }
 
   sim::Engine& engine_;
   NodeId from_;
@@ -122,6 +140,8 @@ class Link {
   /// that instant has not been replayed yet.
   TimePoint avail_at_ = TimePoint::zero();
   bool decision_pending_ = false;
+  std::vector<Packet> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   bool busy_ = false;  // legacy path only
   sim::EventId retry_event_{};
   std::uint64_t tx_packets_ = 0;

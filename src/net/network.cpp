@@ -187,12 +187,6 @@ void Network::ensure_routes() const {
   routes_dirty_ = false;
 }
 
-std::uint32_t Network::route(NodeId from, NodeId dst) const {
-  ensure_routes();
-  return route_link_[static_cast<std::size_t>(from) * nodes_.size() +
-                     static_cast<std::size_t>(dst)];
-}
-
 NodeId Network::next_hop(NodeId from, NodeId dst) const {
   if (from == dst) return dst;
   const std::uint32_t link = route(from, dst);

@@ -108,7 +108,11 @@ class Network {
   void forward(NodeId from, Packet&& p);
   void ensure_routes() const;
   /// links_ position of the first link from -> dst; kNoLink if unreachable.
-  [[nodiscard]] std::uint32_t route(NodeId from, NodeId dst) const;
+  [[nodiscard]] std::uint32_t route(NodeId from, NodeId dst) const {
+    if (routes_dirty_) ensure_routes();
+    return route_link_[static_cast<std::size_t>(from) * nodes_.size() +
+                       static_cast<std::size_t>(dst)];
+  }
   void on_drop(const Packet& p);
 
   /// Directed-edge key for the link index.

@@ -12,7 +12,7 @@ DropTailQueue::DropTailQueue(std::size_t capacity_packets) : capacity_(capacity_
   assert(capacity_ > 0);
 }
 
-std::optional<Packet> DropTailQueue::enqueue(Packet p, TimePoint /*now*/) {
+std::optional<Packet> DropTailQueue::enqueue(Packet&& p, TimePoint /*now*/) {
   if (q_.size() >= capacity_) {
     count_drop(p);
     return p;
@@ -25,8 +25,7 @@ std::optional<Packet> DropTailQueue::enqueue(Packet p, TimePoint /*now*/) {
 
 std::optional<Packet> DropTailQueue::dequeue(TimePoint /*now*/) {
   if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+  Packet p = q_.pop_front();
   bytes_ -= p.size_bytes;
   count_dequeue();
   return p;
@@ -46,7 +45,7 @@ DiffServQueue::DiffServQueue(std::size_t class_capacity) {
 DiffServQueue::DiffServQueue(const std::array<std::size_t, kPhbClassCount>& capacities)
     : capacities_(capacities) {}
 
-std::optional<Packet> DiffServQueue::enqueue(Packet p, TimePoint /*now*/) {
+std::optional<Packet> DiffServQueue::enqueue(Packet&& p, TimePoint /*now*/) {
   const auto cls = static_cast<std::size_t>(classify(p.dscp));
   if (classes_[cls].size() >= capacities_[cls]) {
     count_drop(p);
@@ -66,8 +65,7 @@ std::optional<Packet> DiffServQueue::dequeue(TimePoint /*now*/) {
   // the class-order scan, without visiting the empty classes above it.
   const auto cls = static_cast<std::size_t>(std::countr_zero(occupied_classes_));
   auto& q = classes_[cls];
-  Packet p = std::move(q.front());
-  q.pop_front();
+  Packet p = q.pop_front();
   if (q.empty()) occupied_classes_ &= ~(1u << cls);
   bytes_ -= p.size_bytes;
   --packets_;
@@ -311,7 +309,7 @@ double IntServQueue::reserved_rate_bps() const {
 
 // --- data plane --------------------------------------------------------------
 
-std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
+std::optional<Packet> IntServQueue::enqueue(Packet&& p, TimePoint now) {
   if (config_.legacy_flow_map) return enqueue_legacy(std::move(p), now);
   if (classify(p.dscp) == PhbClass::NetworkControl) {
     if (control_.size() >= config_.control_capacity) {
@@ -372,8 +370,7 @@ std::optional<Packet> IntServQueue::dequeue(TimePoint now) {
   if (config_.legacy_flow_map) return dequeue_legacy(now);
   // 1. Control plane first.
   if (!control_.empty()) {
-    Packet p = std::move(control_.front());
-    control_.pop_front();
+    Packet p = control_.pop_front();
     bytes_ -= p.size_bytes;
     --packets_;
     count_dequeue();
@@ -406,8 +403,7 @@ std::optional<Packet> IntServQueue::dequeue(TimePoint now) {
   }
   // 3. Best effort.
   if (!best_effort_.empty()) {
-    Packet p = std::move(best_effort_.front());
-    best_effort_.pop_front();
+    Packet p = best_effort_.pop_front();
     bytes_ -= p.size_bytes;
     --packets_;
     count_dequeue();
@@ -491,8 +487,7 @@ std::optional<Packet> IntServQueue::enqueue_legacy(Packet p, TimePoint now) {
 std::optional<Packet> IntServQueue::dequeue_legacy(TimePoint now) {
   // 1. Control plane first.
   if (!control_.empty()) {
-    Packet p = std::move(control_.front());
-    control_.pop_front();
+    Packet p = control_.pop_front();
     bytes_ -= p.size_bytes;
     --packets_;
     count_dequeue();
@@ -514,8 +509,7 @@ std::optional<Packet> IntServQueue::dequeue_legacy(TimePoint now) {
   }
   // 3. Best effort.
   if (!best_effort_.empty()) {
-    Packet p = std::move(best_effort_.front());
-    best_effort_.pop_front();
+    Packet p = best_effort_.pop_front();
     bytes_ -= p.size_bytes;
     --packets_;
     count_dequeue();

@@ -13,6 +13,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@
 #include "common/time.hpp"
 #include "net/dscp.hpp"
 #include "net/packet.hpp"
+#include "net/packet_ring.hpp"
 #include "net/token_bucket.hpp"
 #include "obs/trace.hpp"
 
@@ -47,7 +49,7 @@ class Queue {
 
   /// Accepts or drops the packet. Returns the packet back when it was
   /// dropped (so the caller can report it); nullopt when accepted.
-  virtual std::optional<Packet> enqueue(Packet p, TimePoint now) = 0;
+  virtual std::optional<Packet> enqueue(Packet&& p, TimePoint now) = 0;
 
   /// Next packet eligible for transmission, if any.
   virtual std::optional<Packet> dequeue(TimePoint now) = 0;
@@ -108,7 +110,7 @@ class DropTailQueue final : public Queue {
  public:
   explicit DropTailQueue(std::size_t capacity_packets);
 
-  std::optional<Packet> enqueue(Packet p, TimePoint now) override;
+  std::optional<Packet> enqueue(Packet&& p, TimePoint now) override;
   std::optional<Packet> dequeue(TimePoint now) override;
   [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
   [[nodiscard]] std::size_t packets() const override { return q_.size(); }
@@ -116,7 +118,7 @@ class DropTailQueue final : public Queue {
 
  private:
   std::size_t capacity_;
-  std::deque<Packet> q_;
+  PacketRing q_;
   std::size_t bytes_ = 0;
 };
 
@@ -130,7 +132,7 @@ class DiffServQueue final : public Queue {
   /// Per-class capacities, indexed by PhbClass.
   explicit DiffServQueue(const std::array<std::size_t, kPhbClassCount>& capacities);
 
-  std::optional<Packet> enqueue(Packet p, TimePoint now) override;
+  std::optional<Packet> enqueue(Packet&& p, TimePoint now) override;
   std::optional<Packet> dequeue(TimePoint now) override;
   [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
   [[nodiscard]] std::size_t packets() const override { return packets_; }
@@ -141,7 +143,7 @@ class DiffServQueue final : public Queue {
   }
 
  private:
-  std::array<std::deque<Packet>, kPhbClassCount> classes_;
+  std::array<PacketRing, kPhbClassCount> classes_;
   std::array<std::size_t, kPhbClassCount> capacities_;
   std::size_t bytes_ = 0;
   std::size_t packets_ = 0;  // total across classes; packets() is on the hot path
@@ -235,7 +237,7 @@ class IntServQueue final : public Queue {
   }
 
   // --- Queue interface -------------------------------------------------------
-  std::optional<Packet> enqueue(Packet p, TimePoint now) override;
+  std::optional<Packet> enqueue(Packet&& p, TimePoint now) override;
   std::optional<Packet> dequeue(TimePoint now) override;
   [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
   [[nodiscard]] std::size_t packets() const override { return packets_; }
@@ -309,8 +311,14 @@ class IntServQueue final : public Queue {
   /// pays a hash probe per flow. flow_order_ is a sorted vector: the
   /// re-sum walks it on every admission after a mid-order change (an RSVP
   /// churn hot spot), and its O(n) insert/erase costs no more than that.
+  /// flow_ready_ changes on every packet that empties or starts a flow
+  /// queue, so it stays an O(log n) tree; its nodes come from a per-queue
+  /// pool, so a flow turning ready reuses a freed node instead of calling
+  /// the heap. (A sorted vector here made city_scale 2.3x slower: 32k
+  /// reserved flows are ready at once at its core.)
   std::vector<std::pair<FlowId, std::uint32_t>> flow_order_;
-  std::set<std::pair<FlowId, std::uint32_t>> flow_ready_;
+  std::pmr::unsynchronized_pool_resource ready_nodes_;
+  std::pmr::set<std::pair<FlowId, std::uint32_t>> flow_ready_{&ready_nodes_};
   /// Running sum of reserved rates; dirty after a remove or a mid-order
   /// install, recomputed over flow_order_ on the next query.
   mutable double reserved_sum_ = 0.0;
@@ -319,8 +327,8 @@ class IntServQueue final : public Queue {
   /// Hierarchical policing parent (Config::parent_rate_bps > 0).
   std::optional<TokenBucket> parent_;
 
-  std::deque<Packet> best_effort_;
-  std::deque<Packet> control_;
+  PacketRing best_effort_;
+  PacketRing control_;
   std::size_t bytes_ = 0;
   std::size_t packets_ = 0;  // total across sub-queues; packets() is hot
 };

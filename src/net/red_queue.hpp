@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -33,7 +32,7 @@ class RedQueue final : public Queue {
  public:
   explicit RedQueue(RedConfig config);
 
-  std::optional<Packet> enqueue(Packet p, TimePoint now) override;
+  std::optional<Packet> enqueue(Packet&& p, TimePoint now) override;
   std::optional<Packet> dequeue(TimePoint now) override;
   [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
   [[nodiscard]] std::size_t packets() const override { return q_.size(); }
@@ -49,7 +48,7 @@ class RedQueue final : public Queue {
 
   RedConfig config_;
   Rng rng_;
-  std::deque<Packet> q_;
+  PacketRing q_;
   std::size_t bytes_ = 0;
   double avg_ = 0.0;
   int count_since_mark_ = -1;  // RED's "count" variable

@@ -328,6 +328,87 @@ TEST_P(FlowTableDiff, HierarchicalParentMatchesLegacy) {
 INSTANTIATE_TEST_SUITE_P(Churn, FlowTableDiff,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
+/// The city_scale shape: `n_flows` reservations on ids 8, 16, 24, ..., each
+/// handed one packet up front so every one of them is ready at once, then
+/// a random mix of service, arrivals, churn and re-stamps over that
+/// backlog. This is the load that punishes a ready index whose insert or
+/// erase is linear in the number of ready flows.
+std::vector<Op> many_ready_script(std::uint64_t seed, std::size_t n_flows) {
+  std::mt19937_64 rng(seed);
+  std::vector<Op> script;
+  const auto reserved_id = [&]() -> FlowId { return 8 * (1 + rng() % n_flows); };
+  for (std::size_t k = 0; k < n_flows; ++k) {
+    Op op;
+    op.kind = Op::Kind::Install;
+    op.flow = 8 * (k + 1);
+    op.rate_bps = 1e5 + static_cast<double>(rng() % 1000) * 977.0;
+    op.bucket_bytes = 2'000 + static_cast<std::uint32_t>(rng() % 8) * 1'000;
+    script.push_back(op);
+  }
+  for (std::size_t k = 0; k < n_flows; ++k) {
+    Op op;
+    op.kind = Op::Kind::Enqueue;
+    op.flow = 8 * (k + 1);
+    op.size = 64 + static_cast<std::uint32_t>(rng() % 1400);
+    script.push_back(op);
+  }
+  std::int64_t now_ns = 0;
+  for (std::size_t i = 0; i < 3 * n_flows / 2; ++i) {
+    now_ns += static_cast<std::int64_t>(rng() % 200'000);  // 0-200us strides
+    Op op;
+    op.at_ns = now_ns;
+    switch (rng() % 20) {
+      case 0:
+        op.kind = Op::Kind::Install;  // re-install or a fresh id in the gaps
+        op.flow = rng() % 2 == 0 ? reserved_id() : reserved_id() + 1 + rng() % 7;
+        op.rate_bps = 1e5 + static_cast<double>(rng() % 1000) * 977.0;
+        op.bucket_bytes = 2'000 + static_cast<std::uint32_t>(rng() % 8) * 1'000;
+        break;
+      case 1:
+        op.kind = Op::Kind::Remove;
+        op.flow = reserved_id();
+        break;
+      case 2:
+        op.kind = Op::Kind::Update;
+        op.flow = reserved_id();
+        op.rate_bps = 1e5 + static_cast<double>(rng() % 1000) * 977.0;
+        op.bucket_bytes = 2'000 + static_cast<std::uint32_t>(rng() % 8) * 1'000;
+        break;
+      case 3:
+      case 4:
+      case 5:
+      case 6:
+      case 7:
+        op.kind = Op::Kind::Enqueue;
+        op.flow = rng() % 8 == 0 ? kNoFlow : reserved_id();
+        op.size = 64 + static_cast<std::uint32_t>(rng() % 1400);
+        break;
+      case 8:
+      case 9:
+        op.kind = Op::Kind::Probe;
+        op.flow = reserved_id();
+        break;
+      default:
+        op.kind = Op::Kind::Dequeue;
+        break;
+    }
+    script.push_back(op);
+  }
+  return script;
+}
+
+TEST(FlowTableDiff, ManyReadyFlowsMatchLegacy) {
+  for (const bool demote : {true, false}) {
+    SCOPED_TRACE(demote ? "demote" : "shape");
+    IntServQueue::Config config;
+    config.excess_to_best_effort = demote;
+    config.flow_capacity = 4;
+    config.best_effort_capacity = 64;
+    const auto script = many_ready_script(demote ? 0x4096u : 0x5096u, 4'608);
+    EXPECT_EQ(run_script(script, config, false), run_script(script, config, true));
+  }
+}
+
 // --- network-level diff: RSVP signaling + forwarding + metrics export --------
 
 /// Runs a small reserved-traffic scenario with every IntServ egress queue in

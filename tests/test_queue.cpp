@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace aqm::net {
@@ -34,6 +36,47 @@ TEST(DropTailQueue, FifoOrder) {
   EXPECT_EQ(q.dequeue(t0)->size_bytes, 200u);
   EXPECT_EQ(q.dequeue(t0)->size_bytes, 300u);
   EXPECT_FALSE(q.dequeue(t0).has_value());
+
+  // Wrap the ring (16 cells to start), then grow it while wrapped: FIFO
+  // order must survive the unwrap into the doubled ring.
+  DropTailQueue ring(100);
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  const auto push = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Packet p = make_packet(100);
+      p.seq = next_in++;
+      ASSERT_FALSE(ring.enqueue(std::move(p), t0).has_value());
+    }
+  };
+  const auto pop = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const auto p = ring.dequeue(t0);
+      ASSERT_TRUE(p.has_value());
+      EXPECT_EQ(p->seq, next_out++);
+    }
+  };
+  push(12);
+  pop(10);   // head at cell 10
+  push(14);  // 16 queued, wrapped past the end
+  push(5);   // grows while wrapped
+  EXPECT_EQ(ring.packets(), 21u);
+  pop(21);
+  EXPECT_TRUE(ring.empty());
+
+  // A popped packet holds the only queue-side reference to its payload:
+  // dropping it releases the buffer at once (the CdrBufferPool reuse rule).
+  const auto buffer = std::make_shared<const std::vector<std::uint8_t>>(64);
+  Packet shared = make_packet(100);
+  shared.payload = buffer;
+  ASSERT_FALSE(ring.enqueue(std::move(shared), t0).has_value());
+  EXPECT_EQ(buffer.use_count(), 2);
+  {
+    const auto p = ring.dequeue(t0);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(buffer.use_count(), 2);
+  }
+  EXPECT_EQ(buffer.use_count(), 1);
 }
 
 TEST(DropTailQueue, DropsWhenFull) {
