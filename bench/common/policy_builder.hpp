@@ -62,10 +62,6 @@ class PolicyBuilder {
     p_.network_reservation = net::FlowSpec{rate_bps, bucket_bytes};
     return *this;
   }
-  PolicyBuilder& batching(const core::OnewayBatchingPolicy& batching) {
-    p_.oneway_batching = batching;
-    return *this;
-  }
   PolicyBuilder& slo(const obs::SloSpec& slo) {
     p_.slo = slo;
     return *this;

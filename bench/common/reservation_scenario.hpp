@@ -6,8 +6,9 @@
 // The QuO machinery is wired the way the paper describes it: the receiver
 // reports delivery counts upstream on a marked control channel (status
 // collection); sender-side system condition objects expose offered vs
-// delivered rate; a contract with full/10fps/2fps regions drives a frame
-// filter inside the delegate in front of the stream binding.
+// delivered rate; a contract with full/10fps/2fps regions drives the frame
+// filter at the source, in front of the stream binding (the paper's
+// delegate role: in-band adaptation before marshalling).
 #pragma once
 
 #include <cstdint>

@@ -7,10 +7,8 @@
 
 #include "avstreams/frame_codec.hpp"
 #include "common/json_report.hpp"
-#include "orb/buffer_pool.hpp"
 #include "orb/cdr.hpp"
 #include "orb/giop.hpp"
-#include "orb/transport.hpp"
 #include "orb/poa.hpp"
 #include "orb/orb.hpp"
 #include "core/qos_control_plane.hpp"
@@ -182,145 +180,7 @@ void BM_InterceptorOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_InterceptorOverhead)->Arg(0)->Arg(1);
 
-/// AMI-style pipelined calls over the batched GIOP transport (DESIGN.md
-/// §11): a 128-call window is submitted per iteration and rides one
-/// staging pass (shared packet_overhead, one fragmentation run). The
-/// client stub uses a pre-marshaled request template — the header shape is
-/// fixed per (object, operation), so each call copies the template and
-/// patches the request id, TAO-compiled-stub style. The server fully
-/// decodes each request into a warm scratch message and answers through
-/// its own reply batch with a void-return completion; the client demuxes
-/// completions from zero-copy views by peeking the reply header's request
-/// id — no per-reply copy or full decode. One item per completed call.
-/// scripts/run_bench.sh holds the small-body point to >= 3x
-/// BM_GiopRoundTrip calls/s measured in the same run: the per-message
-/// marshal/overhead wall the batching tentpole amortizes.
-void BM_GiopPipelined(benchmark::State& state) {
-  constexpr std::uint32_t kWindow = 128;
-  sim::Engine engine;
-  net::Network net(engine);
-  const auto a = net.add_node("client");
-  const auto b = net.add_node("server");
-  net::LinkConfig link;
-  link.bandwidth_bps = 1e9;
-  net.add_duplex_link(a, b, link);
-  orb::TransportConfig cfg;
-  cfg.mtu = 64 * 1024;
-  cfg.batching.enabled = true;
-  cfg.batching.max_messages = kWindow;  // the submit window flushes itself
-  orb::GiopTransport client(net, a, cfg);
-  orb::GiopTransport server(net, b, cfg);
-  orb::CdrBufferPool client_pool;
-  orb::CdrBufferPool server_pool;
-  orb::GiopMessage scratch;
-  orb::RequestHeader req;
-  req.object_key = "sink";
-  req.operation = "op";
-  orb::ReplyHeader rep;
-  const std::vector<std::uint8_t> body(static_cast<std::size_t>(state.range(0)));
-
-  server.set_message_handler([&](net::NodeId src, const orb::MessageView& m) {
-    orb::decode_into(scratch, m.bytes());
-    rep.request_id = scratch.request.request_id;
-    auto buf = server_pool.acquire();
-    // Void-return completion: the reply carries the id + status the client
-    // demuxes on, no result payload (the CORBA "ping" shape).
-    orb::encode_reply(rep, {}, *buf);
-    server_pool.note_message_size(buf->size());
-    server.send_message(src, orb::CdrBufferPool::freeze(std::move(buf)),
-                        net::dscp::kBestEffort, 2);
-  });
-  std::uint64_t completed = 0;
-  std::uint64_t completed_ids = 0;
-  client.set_message_handler([&](net::NodeId, const orb::MessageView& m) {
-    // Reply header layout: GIOP header (12 B), then request_id u32 LE.
-    const std::uint8_t* d = m.data();
-    completed_ids += d[12] | (static_cast<std::uint32_t>(d[13]) << 8) |
-                     (static_cast<std::uint32_t>(d[14]) << 16) |
-                     (static_cast<std::uint32_t>(d[15]) << 24);
-    ++completed;
-  });
-
-  // The stub's request template: marshaled once, copied + id-patched per
-  // call. request_id sits at bytes 12-15 (u32 LE right after the header).
-  std::vector<std::uint8_t> templ;
-  orb::encode_request(req, body, templ);
-  client_pool.note_message_size(templ.size());
-
-  std::uint32_t next_id = 1;
-  std::uint64_t issued_ids = 0;
-  for (auto _ : state) {
-    for (std::uint32_t i = 0; i < kWindow; ++i) {
-      const std::uint32_t id = next_id++;
-      issued_ids += id;
-      auto buf = client_pool.acquire();
-      buf->assign(templ.begin(), templ.end());
-      (*buf)[12] = static_cast<std::uint8_t>(id);
-      (*buf)[13] = static_cast<std::uint8_t>(id >> 8);
-      (*buf)[14] = static_cast<std::uint8_t>(id >> 16);
-      (*buf)[15] = static_cast<std::uint8_t>(id >> 24);
-      client.send_message(b, orb::CdrBufferPool::freeze(std::move(buf)),
-                          net::dscp::kBestEffort, 1);
-    }
-    client.flush_all();  // submit/flush pipeline boundary (usually a no-op:
-                         // the window hits the count threshold)
-    engine.run();
-  }
-  if (completed != static_cast<std::uint64_t>(state.iterations()) * kWindow ||
-      completed_ids != issued_ids) {
-    state.SkipWithError("pipelined completions diverged from submissions");
-  }
-  state.SetItemsProcessed(state.iterations() * kWindow);
-}
-BENCHMARK(BM_GiopPipelined)->Arg(64)->Arg(1024);
-
-/// Oneway fan-out over the batched transport: 64 oneway requests per
-/// iteration coalesce into one wire write; the server decodes each entry
-/// from its zero-copy view. The no-reply upper bound of the batching path.
-void BM_GiopBatchedOneway(benchmark::State& state) {
-  constexpr std::uint32_t kWindow = 64;
-  sim::Engine engine;
-  net::Network net(engine);
-  const auto a = net.add_node("client");
-  const auto b = net.add_node("server");
-  net::LinkConfig link;
-  link.bandwidth_bps = 1e9;
-  net.add_duplex_link(a, b, link);
-  orb::TransportConfig cfg;
-  cfg.mtu = 64 * 1024;
-  cfg.batching.enabled = true;
-  cfg.batching.max_messages = kWindow;
-  orb::GiopTransport client(net, a, cfg);
-  orb::GiopTransport server(net, b, cfg);
-  orb::CdrBufferPool pool;
-  orb::GiopMessage scratch;
-  orb::RequestHeader req{.response_expected = false,
-                         .object_key = "sink",
-                         .operation = "op",
-                         .contexts = {}};
-  const std::vector<std::uint8_t> body(static_cast<std::size_t>(state.range(0)));
-  std::uint64_t handled = 0;
-  server.set_message_handler([&](net::NodeId, const orb::MessageView& m) {
-    orb::decode_into(scratch, m.bytes());
-    ++handled;
-  });
-  for (auto _ : state) {
-    for (std::uint32_t i = 0; i < kWindow; ++i) {
-      req.request_id = static_cast<std::uint32_t>(handled + i + 1);
-      auto buf = pool.acquire();
-      orb::encode_request(req, body, *buf);
-      pool.note_message_size(buf->size());
-      client.send_message(b, orb::CdrBufferPool::freeze(std::move(buf)),
-                          net::dscp::kBestEffort, 1);
-    }
-    engine.run();
-  }
-  benchmark::DoNotOptimize(handled);
-  state.SetItemsProcessed(state.iterations() * kWindow);
-}
-BENCHMARK(BM_GiopBatchedOneway)->Arg(64)->Arg(1024);
-
-/// Live policy re-stamp cost (DESIGN.md §13): QoSSession::update diffing a
+/// Live policy re-stamp cost (DESIGN.md §12): QoSSession::update diffing a
 /// changed priority/deadline onto the versioned interceptor binding.
 /// Arg(0): the direct session path. Arg(1): the same re-stamp driven
 /// through QosControlPlane::override_flow (merge + managed-slot

@@ -206,7 +206,7 @@ void BM_RouterFanIn(benchmark::State& state) {
 BENCHMARK(BM_RouterFanIn)->Arg(1'024)->Arg(32'768)->Arg(262'144);
 
 /// One FeedbackScheduler control epoch over N rate-controlled flows
-/// (DESIGN.md §13): sense N hub windows, run the proportional-to-deficit
+/// (DESIGN.md §12): sense N hub windows, run the proportional-to-deficit
 /// law, and re-stamp the IntServ reservations that moved outside the
 /// hysteresis band. Alternate epochs drop half the flows' traffic so the
 /// deficits genuinely oscillate and the actuation path (update_reservation
@@ -247,12 +247,12 @@ BENCHMARK(BM_FeedbackEpoch)->Arg(4)->Arg(64);
 /// Price of having the adaptation loop installed but disabled: the
 /// BM_RouterFanIn forwarding world (1k reserved flows, bursty fan-in) with
 /// a TelemetryHub on the engine in both arms (the hub's own budget is the
-/// §12 telemetry gate). Arg(1) additionally installs a FeedbackScheduler
+/// §11 telemetry gate). Arg(1) additionally installs a FeedbackScheduler
 /// registered over every flow — watched windows, controlled table — but
 /// never starts it: the controller-disabled configuration every deployment
 /// ships with. scripts/run_bench.sh holds Arg(1) to >= 0.98x Arg(0)
 /// measured in the same run (interleaved medians): disabling the
-/// controller must actually make it free, within 2% (DESIGN.md §13).
+/// controller must actually make it free, within 2% (DESIGN.md §12).
 void BM_ControllerOverhead(benchmark::State& state) {
   const bool installed = state.range(0) != 0;
   constexpr std::uint64_t kFlows = 1'024;

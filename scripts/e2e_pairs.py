@@ -6,8 +6,9 @@
 
 Pair i runs both binaries on seed B + i, parent first on even i and change
 first on odd i, so slow drift on a shared host hits both sides alike. Each
-run's last stdout line is the benchmark's JSON object; nothing else of the
-output is read, and nothing under e2ebench/ is touched.
+run's last stdout line is the benchmark's JSON object, and its
+"sim_digest <hex>" line is the hash of the simulated run; nothing else of
+the output is read, and nothing under e2ebench/ is touched.
 
 For every end-to-end metric in BENCHMARK.json (name, direction, bound) the
 report gives each side's median and q1-q3 over the N runs, the change's
@@ -22,10 +23,15 @@ wins (ties count for neither side) and a verdict:
              so a move within the bound cannot be told from noise;
   same       none of the above.
 
+A last row compares the two sides' sim_digest seed by seed: "identical on
+N/N seeds", or the seeds whose digests differ. A change meant to keep the
+simulation byte-identical must read N/N.
+
 With --trace both sides run traced (--trace 1) and the report also covers
 the per-layer metrics of BENCHMARK.json, without verdicts. Traced
 runs are slower; use them to see where a saving lands, not to claim it.
-The exit code is 0 when every run passed its own correctness checks.
+The exit code is 0 when every run passed its own correctness checks and
+every pair's sim_digest matched, 1 otherwise.
 """
 import argparse
 import json
@@ -54,7 +60,11 @@ def run_once(binary, workload, seed, seconds, trace, spans_dir):
     if not lines:
         sys.exit(f"e2e_pairs: no output from {' '.join(cmd)}")
     report = json.loads(lines[-1])
-    return report.get("correct", False), {k: v["value"] for k, v in report["metrics"].items()}
+    digests = [ln.split()[1] for ln in lines if ln.split()[:1] == ["sim_digest"]]
+    if len(digests) != 1:
+        sys.exit(f"e2e_pairs: expected one sim_digest line from {' '.join(cmd)}")
+    metrics = {k: v["value"] for k, v in report["metrics"].items()}
+    return report.get("correct", False), digests[0], metrics
 
 
 def quartiles(xs):
@@ -95,6 +105,7 @@ def main():
         ap.error("N must be at least 1")
 
     runs = {"parent": [], "change": []}
+    digests = {"parent": [], "change": []}
     all_correct = True
     with tempfile.TemporaryDirectory() as spans_dir:
         for i in range(args.n):
@@ -102,9 +113,10 @@ def main():
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
                 binary = args.parent_bin if side == "parent" else args.change_bin
-                ok, metrics = run_once(binary, args.workload, seed, args.seconds, args.trace,
-                                       spans_dir)
+                ok, digest, metrics = run_once(binary, args.workload, seed, args.seconds,
+                                               args.trace, spans_dir)
                 all_correct &= ok
+                digests[side].append(digest)
                 runs[side].append(metrics)
             p, c = runs["parent"][-1], runs["change"][-1]
             if "run_s" in p:
@@ -131,9 +143,16 @@ def main():
         print(f"  {name:<32} {pm:>12.6g} [{p1:.6g}-{p3:.6g}]".ljust(69)
               + f" {cm:>12.6g} [{c1:.6g}-{c3:.6g}]".ljust(35)
               + f" {rel:>8} {wins:>2}/{args.n:<3}  {v}")
+    differ = [args.seed_base + i
+              for i, (p, c) in enumerate(zip(digests["parent"], digests["change"])) if p != c]
+    if differ:
+        print(f"  sim_digest differs on seeds {', '.join(map(str, differ))} "
+              f"({len(differ)}/{args.n})")
+    else:
+        print(f"  sim_digest identical on {args.n}/{args.n} seeds")
     if not all_correct:
         print("  some runs FAILED their correctness checks")
-    return 0 if all_correct else 1
+    return 0 if all_correct and not differ else 1
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ cmp "$out_dir/queue_depth.metrics.j1.json" "$out_dir/queue_depth.metrics.j4.json
 mv "$out_dir/queue_depth.metrics.j1.json" "$out_dir/queue_depth.metrics.json"
 rm -f "$out_dir/queue_depth.metrics.j4.json"
 
-# SLO telemetry (DESIGN.md §12): the health-event stream and the flight
+# SLO telemetry (DESIGN.md §11): the health-event stream and the flight
 # dumps are merged in trial-index order like the metrics sidecar, so both
 # must be byte-identical for any worker count.
 echo "== SLO sidecar determinism: ablation_queue_depth --jobs 1 vs --jobs 4"

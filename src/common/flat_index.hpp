@@ -1,7 +1,7 @@
 // One open-addressing key -> slot index for every hashed table in the
-// stack (DESIGN.md §10, §11): the per-flow tables, the link table and the
-// GIOP transport's per-message tables each map a key to a u32 slot in an
-// arena their owner keeps.
+// stack (DESIGN.md §10): the per-flow tables, the link table, the GIOP
+// transport's reassembly table and the ORB's pending-reply table each map
+// a key to a u32 slot in an arena their owner keeps.
 //
 // A key's home cell is its value mod a prime capacity, so dense ascending
 // flow ids sit in consecutive cells. A taken home is probed by double
@@ -22,7 +22,7 @@
 
 namespace aqm::common {
 
-/// Two-word key: the transport's (source, message id) and (dst + DSCP, flow).
+/// Two-word key: the transport's (source, message id).
 struct Key128 {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;

@@ -40,7 +40,7 @@ void FeedbackScheduler::start() {
   if (running_) return;
   running_ = true;
   // Watch registration is deferred to here so an installed-but-disabled
-  // controller adds nothing to the delivery path (DESIGN.md §13): the
+  // controller adds nothing to the delivery path (DESIGN.md §12): the
   // hub's windowed aggregation for controlled flows begins when the
   // controller does.
   for (auto& [flow, c] : flows_) hub_.watch(flow);

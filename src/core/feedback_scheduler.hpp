@@ -10,7 +10,7 @@
 // uses (os::Cpu::update_reserve, IntServQueue::update_reservation), so a
 // controller epoch never tears a binding down.
 //
-// Determinism contract (DESIGN.md §13): epochs fire at integer multiples
+// Determinism contract (DESIGN.md §12): epochs fire at integer multiples
 // of the epoch length on the engine clock, flows are visited in ascending
 // flow-id order, and the control law is pure arithmetic over the hub's
 // deterministic window aggregates — a controlled run is byte-identical

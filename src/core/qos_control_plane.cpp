@@ -27,12 +27,6 @@ void encode_override(orb::CdrWriter& w, const PolicyOverride& ov) {
     w.write_f64(ov.network_reservation->rate_bps);
     w.write_u32(ov.network_reservation->bucket_bytes);
   }
-  w.write_bool(ov.oneway_batching.has_value());
-  if (ov.oneway_batching) {
-    w.write_u32(ov.oneway_batching->max_bytes);
-    w.write_u32(ov.oneway_batching->max_messages);
-    w.write_i64(ov.oneway_batching->flush_deadline.ns());
-  }
 }
 
 PolicyOverride decode_override(orb::CdrReader& r) {
@@ -52,13 +46,6 @@ PolicyOverride decode_override(orb::CdrReader& r) {
     spec.rate_bps = r.read_f64();
     spec.bucket_bytes = r.read_u32();
     ov.network_reservation = spec;
-  }
-  if (r.read_bool()) {
-    OnewayBatchingPolicy batching;
-    batching.max_bytes = r.read_u32();
-    batching.max_messages = r.read_u32();
-    batching.flush_deadline = Duration{r.read_i64()};
-    ov.oneway_batching = batching;
   }
   return ov;
 }
@@ -85,7 +72,6 @@ EndToEndQosPolicy merge_override(const EndToEndQosPolicy& base, const PolicyOver
   if (ov.deadline) merged.deadline = *ov.deadline;
   if (ov.server_cpu_reserve) merged.server_cpu_reserve = *ov.server_cpu_reserve;
   if (ov.network_reservation) merged.network_reservation = *ov.network_reservation;
-  if (ov.oneway_batching) merged.oneway_batching = *ov.oneway_batching;
   return merged;
 }
 

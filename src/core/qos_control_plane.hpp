@@ -4,7 +4,7 @@
 // machinery. A controller sends override_flow(flow, partial-policy) and
 // the control plane merges the engaged fields over the managed session's
 // base policy and re-stamps it via QoSSession::update — priority, DSCP,
-// deadline, batching, CPU reserve size and network reservation all change
+// deadline, CPU reserve size and network reservation all change
 // on the live binding with no session restart and (for the per-invocation
 // knobs) no allocation. clear_override restores the base policy the same
 // way. Overrides compose with the FeedbackScheduler: both drive the same
@@ -39,11 +39,9 @@ struct PolicyOverride {
   std::optional<Duration> deadline;
   std::optional<os::ReserveSpec> server_cpu_reserve;
   std::optional<net::FlowSpec> network_reservation;
-  std::optional<OnewayBatchingPolicy> oneway_batching;
 
   [[nodiscard]] bool any() const {
-    return priority || dscp || deadline || server_cpu_reserve || network_reservation ||
-           oneway_batching;
+    return priority || dscp || deadline || server_cpu_reserve || network_reservation;
   }
   friend bool operator==(const PolicyOverride&, const PolicyOverride&) = default;
 };

@@ -17,20 +17,6 @@
 
 namespace aqm::core {
 
-/// Transport coalescing policy for the binding's flow: small messages
-/// accumulate in the GIOP transport and ship as one wire write, flushed by
-/// byte/count thresholds or the deadline — the flush policy is itself QoS
-/// (a latency/efficiency trade), so it lives on the end-to-end policy and
-/// travels through QoSSession / the interceptor pipeline like priority and
-/// DSCP do.
-struct OnewayBatchingPolicy {
-  std::uint32_t max_bytes = 16 * 1024;
-  std::uint32_t max_messages = 64;
-  Duration flush_deadline = microseconds(500);
-
-  friend bool operator==(const OnewayBatchingPolicy&, const OnewayBatchingPolicy&) = default;
-};
-
 struct EndToEndQosPolicy {
   /// Network flow id classifying the binding's traffic. Applied to the
   /// stub (and every invocation) by QoSSession / the QoS-policy
@@ -59,14 +45,7 @@ struct EndToEndQosPolicy {
   /// RSVP/IntServ bandwidth reservation for the binding's flow.
   std::optional<net::FlowSpec> network_reservation;
 
-  // --- transport batching (coalesced writes) --------------------------------
-  /// Enables GIOP message coalescing on the binding's flow (requires
-  /// `flow`). QoSSession plumbs this to GiopTransport::set_flow_batching;
-  /// the flush deadline also rides each invocation through the pipeline's
-  /// batch_flush_override slot.
-  std::optional<OnewayBatchingPolicy> oneway_batching;
-
-  // --- service-level objective (telemetry contract, DESIGN.md §12) ----------
+  // --- service-level objective (telemetry contract, DESIGN.md §11) ----------
   /// Windowed SLO for the binding's flow (requires `flow` and a
   /// TelemetryHub attached to the engine). QoSSession installs it on the
   /// hub's SloMonitor; breach/recovery transitions land in the health

@@ -102,9 +102,6 @@ orb::InterceptStatus QosPolicyInterceptor::establish(orb::ClientRequestContext& 
       ctx.deadline.has_value() ||
       (ctx.options != nullptr && ctx.options->deadline.has_value());
   if (policy.deadline && !caller_deadline) ctx.deadline = ctx.now + *policy.deadline;
-  if (policy.oneway_batching) {
-    ctx.batch_flush_override = policy.oneway_batching->flush_deadline;
-  }
   return {};
 }
 

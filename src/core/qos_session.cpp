@@ -69,24 +69,6 @@ void QoSSession::apply(EndToEndQosPolicy policy, ApplyCallback cb) {
       .bind(stub_.ref().node, stub_.ref().object_key, policy_);
   interceptor_bound_ = true;
 
-  // Transport coalescing is flow-scoped wire behavior, applied directly to
-  // the client transport (the per-invocation flush override additionally
-  // rides through the QoS-policy interceptor).
-  if (policy_.oneway_batching) {
-    if (!policy_.flow) {
-      errors_.emplace_back("oneway batching requires the binding to have a flow id");
-    } else {
-      orb::BatchPolicy batching;
-      batching.enabled = true;
-      batching.max_bytes = policy_.oneway_batching->max_bytes;
-      batching.max_messages = policy_.oneway_batching->max_messages;
-      batching.flush_delay = policy_.oneway_batching->flush_deadline;
-      client_orb_.transport().set_flow_batching(*policy_.flow, batching);
-      batching_applied_ = true;
-      batching_flow_ = *policy_.flow;
-    }
-  }
-
   // SLO installation: declarative like the rest of the policy — the spec
   // lands on the engine's telemetry hub, which evaluates it on the flow's
   // sliding window from here on.
@@ -138,35 +120,11 @@ void QoSSession::update(EndToEndQosPolicy policy, ApplyCallback cb) {
   const bool flow_changed = policy.flow != policy_.flow;
   if (flow_changed && policy.flow) stub_.set_flow(*policy.flow);
 
-  // Priority / DSCP / deadline / flow / flush-override: one in-place,
-  // allocation-free re-stamp of the versioned binding state. Every later
-  // invocation reads the new state; nothing is torn down or rebound.
+  // Priority / DSCP / deadline / flow: one in-place, allocation-free
+  // re-stamp of the versioned binding state. Every later invocation reads
+  // the new state; nothing is torn down or rebound.
   QosPolicyInterceptor::install(client_orb_)
       .rebind(stub_.ref().node, stub_.ref().object_key, policy);
-
-  // Batching: untouched (no flush) unless the batching parameters or the
-  // flow actually changed. A parameter change flushes the staged batch
-  // under the old policy before staging under the new one.
-  if (policy.oneway_batching != policy_.oneway_batching || flow_changed) {
-    if (batching_applied_) {
-      client_orb_.transport().clear_flow_batching(batching_flow_);  // flushes staged
-      batching_applied_ = false;
-    }
-    if (policy.oneway_batching) {
-      if (!policy.flow) {
-        errors_.emplace_back("oneway batching requires the binding to have a flow id");
-      } else {
-        orb::BatchPolicy batching;
-        batching.enabled = true;
-        batching.max_bytes = policy.oneway_batching->max_bytes;
-        batching.max_messages = policy.oneway_batching->max_messages;
-        batching.flush_delay = policy.oneway_batching->flush_deadline;
-        client_orb_.transport().set_flow_batching(*policy.flow, batching);
-        batching_applied_ = true;
-        batching_flow_ = *policy.flow;
-      }
-    }
-  }
 
   // SLO: the hub's set_slo is an in-place respec for a monitored flow, so
   // an unchanged-flow SLO change keeps the window history.
@@ -275,11 +233,6 @@ void QoSSession::revoke() {
       icpt->unbind(stub_.ref().node, stub_.ref().object_key);
     }
     interceptor_bound_ = false;
-  }
-  if (batching_applied_) {
-    // Flushes anything still staged, then drops the override.
-    client_orb_.transport().clear_flow_batching(batching_flow_);
-    batching_applied_ = false;
   }
   if (slo_applied_) {
     if (obs::TelemetryHub* th = client_orb_.engine().telemetry()) {

@@ -5,7 +5,7 @@
 //
 // Policies are runtime-rebindable: update() diffs the active policy
 // against a new one and re-stamps only the mechanisms whose parameters
-// changed — priority/DSCP/deadline/batching flip in place through the
+// changed — priority/DSCP/deadline flip in place through the
 // versioned interceptor binding, CPU reserves resize without
 // detach-reattach, and network reservations renegotiate on the live flow
 // (RSVP modify). The session tracks which stages actually applied, so
@@ -47,8 +47,7 @@ class QoSSession {
   /// Live re-stamp: diffs the active policy against `policy` and applies
   /// only the delta, without tearing the binding down. Priority, DSCP,
   /// deadline, and flow re-stamp in place through the versioned
-  /// interceptor binding (allocation-free); batching is flushed and
-  /// re-staged only when its parameters changed; an existing CPU reserve
+  /// interceptor binding (allocation-free); an existing CPU reserve
   /// resizes via update_reserve (no detach-reattach); a changed network
   /// reservation renegotiates on the live flow (RSVP modify). Mechanisms
   /// whose parameters are unchanged are not touched at all, so re-applying
@@ -90,10 +89,8 @@ class QoSSession {
   bool network_reserved_ = false;
   std::optional<os::ReserveId> cpu_reserve_;
   bool interceptor_bound_ = false;
-  bool batching_applied_ = false;
   bool slo_applied_ = false;
   net::FlowId reserved_flow_ = net::kNoFlow;
-  net::FlowId batching_flow_ = net::kNoFlow;
   net::FlowId slo_flow_ = net::kNoFlow;
   /// Generation counter bumped by apply/update/revoke. Asynchronous
   /// callbacks capture the generation they were issued under; a stale

@@ -1,6 +1,6 @@
 // Streaming QoS telemetry: always-on, allocation-free-in-steady-state
 // sensing for the runtime control plane. Three pieces on top of the obs
-// substrate (DESIGN.md §12):
+// substrate (DESIGN.md §11):
 //
 //  * SloMonitor — per-flow sliding-window aggregations over a ring of
 //    fixed time buckets on the engine clock: deadline-miss rate, drop

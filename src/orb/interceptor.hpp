@@ -90,9 +90,9 @@ using InterceptStatus = Status<CompletionStatus>;
 }
 
 /// Per-invocation client-side context. Pointer fields are phase-scoped:
-/// `body` is only valid in establish (pre-marshal), `contexts` only in
-/// send_request (stamping), and `ref`/`operation`/`options` are null on the
-/// reply path of an invocation whose originals are gone (non-retryable).
+/// `contexts` is only valid in send_request (stamping), and
+/// `ref`/`operation`/`options` are null on the reply path of an invocation
+/// whose originals are gone (non-retryable).
 struct ClientRequestContext {
   const ObjectRef* ref = nullptr;
   const std::string* operation = nullptr;
@@ -115,14 +115,8 @@ struct ClientRequestContext {
   net::FlowId flow = net::kNoFlow;
   /// Absolute end-to-end deadline (simulation clock).
   std::optional<TimePoint> deadline;
-  /// Transport-coalescing flush deadline for this invocation (QoS policy /
-  /// user interceptors). Tightens the staged batch's flush timer; no
-  /// effect when batching is off for the request's flow.
-  std::optional<Duration> batch_flush_override;
   std::uint64_t trace_id = 0;
 
-  /// Request payload — mutable during establish only (pre-marshal).
-  std::vector<std::uint8_t>* body = nullptr;
   /// Request service contexts — valid during send_request only.
   std::vector<ServiceContext>* contexts = nullptr;
 

@@ -34,7 +34,7 @@ CompletionStatus decode_error_body(const std::vector<std::uint8_t>& body) {
 OrbEndpoint::OrbEndpoint(net::Network& net, net::NodeId node, os::Cpu& cpu, OrbConfig config)
     : net_(net), cpu_(cpu), config_(config), transport_(net, node, config.transport) {
   transport_.set_message_handler(
-      [this](net::NodeId src, const MessageView& msg) { on_message(src, msg); });
+      [this](net::NodeId src, const MessageBuffer& msg) { on_message(src, msg); });
   install_builtin_interceptors();
 }
 
@@ -226,13 +226,6 @@ void OrbEndpoint::export_metrics(obs::MetricsRegistry& reg, std::string_view pre
   reg.counter(p + ".dispatch_rejected").set(stats_.dispatch_rejected);
   reg.counter(p + ".collocated_calls").set(stats_.collocated_calls);
   reg.counter(p + ".messages_expired").set(transport_.messages_expired());
-  // Emitted only when coalescing is actually in play, so metrics sidecars
-  // of batching-off runs stay byte-identical to the pre-batching ORB.
-  if (config_.transport.batching.enabled || transport_.batched_messages() > 0) {
-    reg.counter(p + ".transport.batches_sent").set(transport_.batches_sent());
-    reg.counter(p + ".transport.batched_messages").set(transport_.batched_messages());
-    reg.counter(p + ".transport.batches_delivered").set(transport_.batches_delivered());
-  }
   reg.counter(p + ".interceptor.client_vetoed").set(stats_.client_vetoed);
   reg.counter(p + ".interceptor.server_vetoed").set(stats_.server_vetoed);
   reg.counter(p + ".interceptor.deadline_dropped").set(stats_.deadline_dropped);
@@ -292,7 +285,6 @@ void OrbEndpoint::invoke_internal(const ObjectRef& ref, const std::string& opera
   ectx.flow = options.flow;
   ectx.deadline = deadline;  // carried across retries
   ectx.retry = options.retry;
-  ectx.body = &body;
   if (const auto st = run_client_establish(ectx); !st) {
     ++stats_.client_vetoed;
     if (st.error() == CompletionStatus::Timeout) {
@@ -311,7 +303,6 @@ void OrbEndpoint::invoke_internal(const ObjectRef& ref, const std::string& opera
     if (!options.oneway && cb) cb(st.error(), {});
     return;
   }
-  ectx.body = nullptr;
 
   const CorbaPriority priority = ectx.priority;
   const os::Priority native = ectx.native_priority;
@@ -346,7 +337,6 @@ void OrbEndpoint::invoke_internal(const ObjectRef& ref, const std::string& opera
       [this, ref, operation, body = std::move(body), options, cb = std::move(cb),
        priority, request_id, trace_id, span_name, attempt, deadline = ectx.deadline,
        dscp_override = ectx.dscp_override, flow = ectx.flow,
-       flush_override = ectx.batch_flush_override,
        retry_state = std::move(retry_state)]() mutable {
         RequestHeader header;
         header.request_id = request_id;
@@ -366,7 +356,6 @@ void OrbEndpoint::invoke_internal(const ObjectRef& ref, const std::string& opera
         ctx.dscp_override = dscp_override;
         ctx.flow = flow;
         ctx.deadline = deadline;
-        ctx.batch_flush_override = flush_override;
         ctx.trace_id = trace_id;
         ctx.retry = options.retry;
         ctx.contexts = &header.contexts;
@@ -405,30 +394,24 @@ void OrbEndpoint::invoke_internal(const ObjectRef& ref, const std::string& opera
           pending.flow = ctx.flow;
           pending.sent_at = engine().now();
           pending.timeout = engine().after(options.timeout, [this, request_id] {
-            const auto it = pending_.find(request_id);
-            if (it == pending_.end()) return;
-            auto callback = std::move(it->second.cb);
-            const std::uint64_t trace = it->second.trace;
-            const char* span = it->second.span_name;
-            const int att = it->second.attempt;
-            const net::FlowId flow = it->second.flow;
-            auto retry = std::move(it->second.retry);
-            pending_.erase(it);
+            std::optional<PendingRequest> timed_out = take_pending(request_id);
+            if (!timed_out) return;
+            const std::uint64_t trace = timed_out->trace;
             ++stats_.timeouts;
             ++stats_.deadline_missed;
             if (obs::TelemetryHub* th = engine().telemetry()) {
-              th->on_deadline_miss(flow, engine().now(), trace);
+              th->on_deadline_miss(timed_out->flow, engine().now(), trace);
             }
-            if (trace != 0 && span != nullptr) {
+            if (trace != 0 && timed_out->span_name != nullptr) {
               if (obs::TraceRecorder* tr = orb_tracer()) {
-                tr->async_end(obs::TraceCategory::Orb, span, obs_track_, engine().now(),
-                              trace, {{"timeout", 1.0}});
+                tr->async_end(obs::TraceCategory::Orb, timed_out->span_name, obs_track_,
+                              engine().now(), trace, {{"timeout", 1.0}});
               }
             }
-            complete_exception(std::move(callback), CompletionStatus::Timeout, att,
-                               std::move(retry), trace);
+            complete_exception(std::move(timed_out->cb), CompletionStatus::Timeout,
+                               timed_out->attempt, std::move(timed_out->retry), trace);
           });
-          pending_.emplace(request_id, std::move(pending));
+          add_pending(request_id, std::move(pending));
         } else if (trace_id != 0 && span_name != nullptr) {
           // Oneways have no reply; the client span closes at the send.
           if (obs::TraceRecorder* tr = orb_tracer()) {
@@ -441,10 +424,9 @@ void OrbEndpoint::invoke_internal(const ObjectRef& ref, const std::string& opera
           // Collocation optimization (TAO-style): the target lives in this
           // ORB, so the request short-circuits the transport entirely —
           // same marshaling and dispatch semantics, zero wire time.
-          on_message(node(), std::move(bytes));
+          on_message(node(), bytes);
         } else {
-          transport_.send_message(ref.node, std::move(bytes), ctx.dscp, ctx.flow,
-                                  trace_id, ctx.batch_flush_override);
+          transport_.send_message(ref.node, std::move(bytes), ctx.dscp, ctx.flow, trace_id);
         }
       });
 }
@@ -490,21 +472,41 @@ void OrbEndpoint::complete_exception(ResponseCallback cb, CompletionStatus statu
 
 // --- server side -------------------------------------------------------------
 
-void OrbEndpoint::on_message(net::NodeId src, const MessageView& msg) {
-  // Decode into the endpoint scratch: batched traffic hands us views into a
-  // shared batch buffer, and this path re-parses headers without allocating
-  // once the scratch's strings/contexts/body are warm.
+void OrbEndpoint::add_pending(std::uint32_t request_id, PendingRequest pending) {
+  std::uint32_t slot;
+  if (pending_free_.empty()) {
+    slot = static_cast<std::uint32_t>(pending_slots_.size());
+    pending_slots_.push_back(std::move(pending));
+  } else {
+    slot = pending_free_.back();
+    pending_free_.pop_back();
+    pending_slots_[slot] = std::move(pending);
+  }
+  pending_index_.insert(request_id, slot);
+}
+
+std::optional<OrbEndpoint::PendingRequest> OrbEndpoint::take_pending(
+    std::uint32_t request_id) {
+  const std::uint32_t slot = pending_index_.erase(request_id);
+  if (slot == common::FlatIndex<std::uint32_t>::kNoSlot) return std::nullopt;
+  pending_free_.push_back(slot);
+  return std::move(pending_slots_[slot]);
+}
+
+void OrbEndpoint::on_message(net::NodeId src, const MessageBuffer& msg) {
+  // Decode into the endpoint scratch: this path re-parses headers without
+  // allocating once the scratch's strings/contexts/body are warm.
   try {
-    decode_into(decode_scratch_, msg.bytes());
+    decode_into(decode_scratch_, *msg);
   } catch (const MarshalError& e) {
     AQM_WARN() << "orb@" << net_.node_name(node()) << ": dropping malformed GIOP ("
                << e.what() << ")";
     return;
   }
   if (decode_scratch_.type == GiopMsgType::Request) {
-    handle_request(src, decode_scratch_, msg.size());
+    handle_request(src, decode_scratch_, msg->size());
   } else {
-    handle_reply(decode_scratch_, msg.size());
+    handle_reply(decode_scratch_, msg->size());
   }
 }
 
@@ -692,10 +694,9 @@ void OrbEndpoint::send_reply(net::NodeId client, std::uint32_t request_id,
 }
 
 void OrbEndpoint::handle_reply(GiopMessage& msg, std::size_t wire_size) {
-  const auto it = pending_.find(msg.reply.request_id);
-  if (it == pending_.end()) return;  // late reply after timeout: drop
-  PendingRequest pending = std::move(it->second);
-  pending_.erase(it);
+  std::optional<PendingRequest> taken = take_pending(msg.reply.request_id);
+  if (!taken) return;  // late reply after timeout: drop
+  PendingRequest& pending = *taken;
   engine().cancel(pending.timeout);
 
   const os::Priority native = priority_mappings_.to_native(pending.priority);

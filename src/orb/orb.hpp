@@ -27,9 +27,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/time.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
@@ -135,17 +135,12 @@ class OrbEndpoint {
   // --- client side -------------------------------------------------------------
 
   /// Fire an invocation. For oneways `cb` may be null; for twoways it is
-  /// called exactly once with the outcome. With transport batching on,
-  /// any number of invocations can be in flight on one logical connection
-  /// — completions demux by request id — and small requests coalesce in
-  /// the transport until a threshold/deadline flush or flush_transport().
+  /// called exactly once with the outcome. Any number of invocations can
+  /// be in flight on one logical connection: completions demux by request
+  /// id.
   void invoke(const ObjectRef& ref, const std::string& operation,
               std::vector<std::uint8_t> body, InvokeOptions options,
               ResponseCallback cb = nullptr);
-
-  /// Ships every staged (batched) message now — the AMI-style pipelining
-  /// submit/flush boundary. A no-op when nothing is staged.
-  void flush_transport() { transport_.flush_all(); }
 
   // --- plumbing -----------------------------------------------------------------
 
@@ -218,7 +213,13 @@ class OrbEndpoint {
   InterceptStatus run_server_receive(ServerRequestContext& ctx);
   InterceptStatus run_server_reply(ServerRequestContext& ctx);
 
-  void on_message(net::NodeId src, const MessageView& msg);
+  /// Parks a twoway completion under its request id.
+  void add_pending(std::uint32_t request_id, PendingRequest pending);
+  /// Removes and returns the completion for `request_id`; nullopt when it
+  /// already completed (a late reply after a timeout, or vice versa).
+  std::optional<PendingRequest> take_pending(std::uint32_t request_id);
+
+  void on_message(net::NodeId src, const MessageBuffer& msg);
   /// Both take the decode scratch by reference and move its movable
   /// fields out; decode_into reinitializes them on the next message.
   void handle_request(net::NodeId src, GiopMessage& msg, std::size_t wire_size);
@@ -244,9 +245,12 @@ class OrbEndpoint {
   rt::DscpMappingManager dscp_mappings_;
   CorbaPriority client_priority_ = 0;
   std::map<std::string, std::unique_ptr<Poa>> poas_;
-  /// In-flight twoway completions, demuxed by request id. Hashed (O(1) at
-  /// pipelining depths) and never iterated, so determinism holds.
-  std::unordered_map<std::uint32_t, PendingRequest> pending_;
+  /// In-flight twoway completions: a flat request-id index over a recycled
+  /// slot arena, so the steady-state call path allocates no map nodes. It
+  /// is never iterated, so no probe order can leak into the output.
+  common::FlatIndex<std::uint32_t> pending_index_;
+  std::vector<PendingRequest> pending_slots_;
+  std::vector<std::uint32_t> pending_free_;
   /// Receive-path decode scratch: every inbound message decodes into this
   /// one GiopMessage, reusing its strings/contexts/body capacity. Safe
   /// because servant and callback work is always deferred through the CPU

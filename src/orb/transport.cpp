@@ -2,24 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
-#include <tuple>
 
 namespace aqm::orb {
-namespace {
-
-// Batch framing (DESIGN.md §11): 8-byte header, then `count` entries, each
-// 4-aligned as [u32 length LE][length bytes]. "GBAT" is disjoint from the
-// "GIOP" magic, so the receive side distinguishes batches from plain
-// messages without out-of-band state; application payloads beginning with
-// "GBAT" are reserved.
-constexpr std::uint8_t kBatchMagic[4] = {'G', 'B', 'A', 'T'};
-constexpr std::uint8_t kBatchVersion = 1;
-constexpr std::size_t kBatchHeaderSize = 8;
-constexpr std::size_t kBatchCountOffset = 6;  // u16 LE, patched at flush
-constexpr std::uint32_t kBatchMaxCount = 0xFFFF;
-
-}  // namespace
 
 // Fragments ride in every data packet; keep them inside the payload's
 // inline buffer so forwarding never allocates (checked hop by hop by
@@ -32,180 +16,10 @@ GiopTransport::GiopTransport(net::Network& net, net::NodeId node, TransportConfi
   net_.set_receiver(node_, [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
-const BatchPolicy& GiopTransport::policy_for(net::FlowId flow) const {
-  // The hash probe only runs when some flow actually carries an override —
-  // the common case (global config only) stays branch-predictable.
-  if (flow_batching_.size() != 0) {
-    if (const BatchPolicy* p = flow_batching_.find(flow)) return *p;
-  }
-  return config_.batching;
-}
-
-void GiopTransport::set_flow_batching(net::FlowId flow, BatchPolicy policy) {
-  flow_batching_[flow] = policy;
-}
-
-void GiopTransport::clear_flow_batching(net::FlowId flow) {
-  // Ship anything the departing policy left staged before the override
-  // goes away (the key may never see another send).
-  for (std::size_t i = 0; i < staging_.size(); ++i) {
-    if (staging_[i].active && staging_[i].flow == flow) {
-      flush_slot(static_cast<std::uint32_t>(i));
-    }
-  }
-  flow_batching_.erase(flow);
-}
-
-const BatchPolicy* GiopTransport::flow_batching(net::FlowId flow) const {
-  return flow_batching_.find(flow);
-}
-
 void GiopTransport::send_message(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
-                                 net::FlowId flow, std::uint64_t trace,
-                                 std::optional<Duration> flush_override) {
+                                 net::FlowId flow, std::uint64_t trace) {
   assert(msg != nullptr && !msg->empty());
   ++sent_;
-  const BatchPolicy& pol = policy_for(flow);
-  if (!pol.enabled) {
-    transmit(dst, std::move(msg), dscp, flow, trace);
-    return;
-  }
-
-  // Oversized messages bypass staging; flush the key's pending batch first
-  // so per-key delivery order matches submission order.
-  if (msg->size() >= pol.max_bytes) {
-    flush(dst, dscp, flow);
-    transmit(dst, std::move(msg), dscp, flow, trace);
-    return;
-  }
-
-  const std::uint32_t slot = staging_slot(dst, dscp, flow);
-  Staging& s = staging_[slot];
-  if (!s.active) {
-    s.buf = batch_pool_.acquire();
-    s.buf->assign(kBatchMagic, kBatchMagic + 4);
-    s.buf->push_back(kBatchVersion);
-    s.buf->push_back(0);  // flags
-    s.buf->push_back(0);  // count lo, patched at flush
-    s.buf->push_back(0);  // count hi
-    s.count = 0;
-    s.trace = trace;
-    s.active = true;
-    const Duration delay = flush_override.value_or(pol.flush_delay);
-    s.flush_at = net_.engine().now() + delay;
-    s.flush_event = net_.engine().after(delay, [this, slot] { deadline_flush(slot); });
-  } else if (flush_override) {
-    // A tighter per-invocation deadline pulls the whole batch forward.
-    const TimePoint want = net_.engine().now() + *flush_override;
-    if (want < s.flush_at) {
-      net_.engine().cancel(s.flush_event);
-      s.flush_at = want;
-      s.flush_event =
-          net_.engine().after(*flush_override, [this, slot] { deadline_flush(slot); });
-    }
-  }
-
-  // Append [pad to 4][u32 length LE][bytes] in one growth step: resize
-  // zero-fills the alignment pad, then the length and payload land via
-  // direct stores — no per-byte capacity checks on the hot path.
-  auto& b = *s.buf;
-  const std::size_t aligned = (b.size() + 3u) & ~std::size_t{3};
-  const auto len = static_cast<std::uint32_t>(msg->size());
-  b.resize(aligned + 4 + len);
-  std::uint8_t* out = b.data() + aligned;
-  out[0] = static_cast<std::uint8_t>(len);
-  out[1] = static_cast<std::uint8_t>(len >> 8);
-  out[2] = static_cast<std::uint8_t>(len >> 16);
-  out[3] = static_cast<std::uint8_t>(len >> 24);
-  std::memcpy(out + 4, msg->data(), len);
-  ++s.count;
-  ++batched_messages_;
-
-  if (b.size() >= pol.max_bytes || s.count >= pol.max_messages ||
-      s.count == kBatchMaxCount) {
-    flush_slot(slot);
-  }
-}
-
-std::uint32_t GiopTransport::staging_slot(net::NodeId dst, net::Dscp dscp,
-                                          net::FlowId flow) {
-  // One-entry MRU cache: pipelined traffic hammers a single key, and slots
-  // are never erased, so a cached index can never go stale.
-  if (dst == last_dst_ && dscp == last_dscp_ && flow == last_flow_) {
-    return last_slot_;
-  }
-  const common::Key128 key = staging_key(dst, dscp, flow);
-  std::uint32_t slot = staging_index_.find(key);
-  if (slot == Key128Index::kNoSlot) {
-    slot = static_cast<std::uint32_t>(staging_.size());
-    Staging s;
-    s.dst = dst;
-    s.dscp = dscp;
-    s.flow = flow;
-    staging_.push_back(std::move(s));
-    staging_index_.insert(key, slot);
-  }
-  last_dst_ = dst;
-  last_dscp_ = dscp;
-  last_flow_ = flow;
-  last_slot_ = slot;
-  return slot;
-}
-
-void GiopTransport::flush(net::NodeId dst, net::Dscp dscp, net::FlowId flow) {
-  const std::uint32_t slot = staging_index_.find(staging_key(dst, dscp, flow));
-  if (slot != Key128Index::kNoSlot) flush_slot(slot);
-}
-
-void GiopTransport::flush_all() {
-  // Hash-table order never leaks (DESIGN.md §10): emit in sorted key order.
-  std::vector<std::uint32_t>& active = flush_scratch_;
-  active.clear();
-  for (std::size_t i = 0; i < staging_.size(); ++i) {
-    if (staging_[i].active) active.push_back(static_cast<std::uint32_t>(i));
-  }
-  std::sort(active.begin(), active.end(), [this](std::uint32_t a, std::uint32_t b) {
-    const Staging& sa = staging_[a];
-    const Staging& sb = staging_[b];
-    return std::tie(sa.dst, sa.dscp, sa.flow) < std::tie(sb.dst, sb.dscp, sb.flow);
-  });
-  for (const std::uint32_t slot : active) flush_slot(slot);
-}
-
-void GiopTransport::deadline_flush(std::uint32_t slot) {
-  Staging& s = staging_[slot];
-  if (!s.active) return;
-  s.flush_event = {};  // this event already fired
-  if (obs::TraceRecorder* tr = tracer()) {
-    tr->instant(obs::TraceCategory::Orb, "batch.deadline", obs_track_,
-                net_.engine().now(), s.trace,
-                {{"count", static_cast<double>(s.count)}});
-  }
-  flush_slot(slot);
-}
-
-void GiopTransport::flush_slot(std::uint32_t slot) {
-  Staging& s = staging_[slot];
-  if (!s.active) return;
-  net_.engine().cancel(s.flush_event);
-  s.flush_event = {};
-  (*s.buf)[kBatchCountOffset] = static_cast<std::uint8_t>(s.count);
-  (*s.buf)[kBatchCountOffset + 1] = static_cast<std::uint8_t>(s.count >> 8);
-  batch_pool_.note_message_size(s.buf->size());
-  MessageBuffer batch = CdrBufferPool::freeze(std::move(s.buf));
-  const net::NodeId dst = s.dst;
-  const net::Dscp dscp = s.dscp;
-  const net::FlowId flow = s.flow;
-  const std::uint64_t trace = s.trace;
-  s.active = false;
-  s.count = 0;
-  s.trace = 0;
-  ++batches_sent_;
-  transmit(dst, std::move(batch), dscp, flow, trace);
-}
-
-void GiopTransport::transmit(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
-                             net::FlowId flow, std::uint64_t trace) {
   const std::uint32_t payload_mtu = config_.mtu - config_.packet_overhead;
   const auto total = static_cast<std::uint32_t>(msg->size());
   const std::uint32_t count = (total + payload_mtu - 1) / payload_mtu;
@@ -308,42 +122,14 @@ void GiopTransport::on_packet(net::Packet&& p) {
   if (r.arrived < r.expected) return;
 
   net_.engine().cancel(r.expiry);
-  MessageBuffer msg = std::move(r.data);
+  const MessageBuffer msg = std::move(r.data);
   release_reassembly_slot(slot);
-  deliver(p.src, std::move(msg));
+  deliver(p.src, msg);
 }
 
-void GiopTransport::deliver(net::NodeId src, MessageBuffer msg) {
-  const std::vector<std::uint8_t>& b = *msg;
-  if (b.size() >= kBatchHeaderSize && b[0] == kBatchMagic[0] && b[1] == kBatchMagic[1] &&
-      b[2] == kBatchMagic[2] && b[3] == kBatchMagic[3]) {
-    ++batches_delivered_;
-    const std::uint32_t count = b[kBatchCountOffset] |
-                                (static_cast<std::uint32_t>(b[kBatchCountOffset + 1]) << 8);
-    // One owner reference for the whole batch; the view is rebound per
-    // entry, so unpacking N messages costs zero refcount round-trips.
-    MessageView view(msg, nullptr, 0);
-    std::size_t off = kBatchHeaderSize;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      off = (off + 3) & ~std::size_t{3};
-      if (off + 4 > b.size()) break;  // truncated batch: drop the tail
-      const std::uint32_t len = b[off] | (static_cast<std::uint32_t>(b[off + 1]) << 8) |
-                                (static_cast<std::uint32_t>(b[off + 2]) << 16) |
-                                (static_cast<std::uint32_t>(b[off + 3]) << 24);
-      off += 4;
-      if (off + len > b.size()) break;
-      ++delivered_;
-      view.rebind(b.data() + off, len);
-      if (handler_) handler_(src, view);
-      off += len;
-    }
-    return;
-  }
+void GiopTransport::deliver(net::NodeId src, const MessageBuffer& msg) {
   ++delivered_;
-  if (handler_) {
-    const MessageView view(std::move(msg));
-    handler_(src, view);
-  }
+  if (handler_) handler_(src, msg);
 }
 
 void GiopTransport::expire(net::NodeId src, std::uint64_t message_id) {

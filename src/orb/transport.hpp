@@ -3,24 +3,12 @@
 // receive. Packet loss under congestion means messages can arrive
 // incomplete; reassembly state expires after a timeout and the message
 // counts as lost (video semantics: no retransmission, matching the paper's
-// streaming experiments).
-//
-// Batching session layer (DESIGN.md §11): with coalescing enabled, small
-// messages to the same (destination, DSCP, flow) accumulate in a staging
-// buffer and ship as one wire write — one fragmentation pass, one
-// packet_overhead share — framed under a "GBAT" header and unpacked on the
-// receive side into zero-copy MessageViews over the batch buffer. Flushes
-// are driven by byte/count thresholds or an engine-timer deadline, so the
-// batched world stays exactly as deterministic as the unbatched one. The
-// unbatched path (batching disabled, the default) is the verbatim legacy
-// code and serves as the differential oracle.
+// streaming experiments). Every delivered message is the sender's whole
+// MessageBuffer: fragments share it, so reassembly copies no bytes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "common/flat_index.hpp"
@@ -43,16 +31,6 @@ struct GiopFragment {
   MessageBuffer data;  // the full message; [offset, offset+length) is this fragment
 };
 
-/// Coalescing flush policy (DESIGN.md §11). A staged batch ships when it
-/// reaches `max_bytes` or `max_messages`, or when `flush_delay` elapses
-/// after its first message was staged — whichever comes first.
-struct BatchPolicy {
-  bool enabled = false;
-  std::uint32_t max_bytes = 16 * 1024;
-  std::uint32_t max_messages = 64;
-  Duration flush_delay = microseconds(500);
-};
-
 struct TransportConfig {
   std::uint32_t mtu = net::kDefaultMtu;
   std::uint32_t packet_overhead = 40;  // IP + TCP-ish framing per fragment
@@ -60,55 +38,14 @@ struct TransportConfig {
   /// Send fragments ECN-capable: RED routers then mark instead of drop
   /// under incipient congestion, and ce_marks() exposes the feedback.
   bool ecn_capable = false;
-  /// GIOP message coalescing. Disabled by default: the unbatched path is
-  /// the differential oracle and the experiment drivers' wire behavior.
-  BatchPolicy batching{};
-};
-
-/// A borrowed window into a delivered message. For unbatched traffic the
-/// view spans the whole MessageBuffer; for batched traffic it is a slice of
-/// the shared batch buffer — the zero-copy demux handoff. The view keeps
-/// the underlying buffer alive; copying the view copies only the
-/// shared_ptr, never the bytes.
-class MessageView {
- public:
-  MessageView() = default;
-  /* implicit */ MessageView(MessageBuffer whole)
-      : owner_(std::move(whole)),
-        data_(owner_ ? owner_->data() : nullptr),
-        size_(owner_ ? owner_->size() : 0) {}
-  MessageView(MessageBuffer owner, const std::uint8_t* data, std::size_t size)
-      : owner_(std::move(owner)), data_(data), size_(size) {}
-
-  [[nodiscard]] const std::uint8_t* data() const { return data_; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return {data_, size_}; }
-  /// The buffer keeping this view alive (the whole batch for a slice).
-  [[nodiscard]] const MessageBuffer& owner() const { return owner_; }
-
- private:
-  friend class GiopTransport;
-  /// Repoints the view at another slice of the same owner. Only the
-  /// transport's batch-unpack loop uses this: one owner reference per
-  /// batch, rebound per entry, so demux adds no refcount traffic.
-  void rebind(const std::uint8_t* data, std::size_t size) {
-    data_ = data;
-    size_ = size;
-  }
-
-  MessageBuffer owner_;
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
 };
 
 class GiopTransport {
  public:
-  /// (source node, complete message bytes — possibly a view into a batch).
-  /// The view is borrowed for the duration of the callback; a handler that
-  /// retains the bytes past its return must copy the view (cheap: one
-  /// shared_ptr, never the payload).
-  using MessageHandler = std::function<void(net::NodeId src, const MessageView& msg)>;
+  /// (source node, complete message). The reference is borrowed for the
+  /// duration of the callback; a handler that retains the bytes past its
+  /// return copies the buffer handle (one shared_ptr, never the payload).
+  using MessageHandler = std::function<void(net::NodeId src, const MessageBuffer& msg)>;
 
   GiopTransport(net::Network& net, net::NodeId node, TransportConfig config = {});
   GiopTransport(const GiopTransport&) = delete;
@@ -118,44 +55,21 @@ class GiopTransport {
 
   void set_message_handler(MessageHandler handler) { handler_ = std::move(handler); }
 
-  /// Sends a message to `dst`, stamped with the given DSCP and flow id.
-  /// A nonzero `trace` rides on every fragment so per-hop network events
-  /// chain to the originating request. With coalescing enabled for the
-  /// flow, the message may be staged instead of shipped immediately;
-  /// `flush_override` (from the interceptor pipeline / QoS policy) pulls
-  /// the staging deadline earlier than the configured flush_delay.
+  /// Fragments a message to the MTU and sends it to `dst`, stamped with the
+  /// given DSCP and flow id. A nonzero `trace` rides on every fragment so
+  /// per-hop network events chain to the originating request.
   void send_message(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
-                    net::FlowId flow = net::kNoFlow, std::uint64_t trace = 0,
-                    std::optional<Duration> flush_override = {});
+                    net::FlowId flow = net::kNoFlow, std::uint64_t trace = 0);
 
-  /// Flushes the staging buffer of one (dst, dscp, flow) key, if any.
-  void flush(net::NodeId dst, net::Dscp dscp, net::FlowId flow);
-  /// Flushes every active staging buffer, in sorted (dst, dscp, flow)
-  /// order — the pipelining submit/flush boundary.
-  void flush_all();
-
-  /// Per-flow coalescing override (QoSSession plumbs EndToEndQosPolicy's
-  /// oneway_batching here). A flow-level policy wins over config batching,
-  /// so a session can batch one flow while the transport default stays off.
-  void set_flow_batching(net::FlowId flow, BatchPolicy policy);
-  void clear_flow_batching(net::FlowId flow);
-  [[nodiscard]] const BatchPolicy* flow_batching(net::FlowId flow) const;
-
-  /// Logical messages passed to send_message (batched or not).
+  /// Messages passed to send_message.
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
-  /// Logical messages handed to the handler (each batch entry counts).
+  /// Messages handed to the handler.
   [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
-  /// Wire-level messages whose reassembly expired with fragments missing
-  /// (a lost batch counts once, however many messages it carried).
+  /// Messages whose reassembly expired with fragments missing.
   [[nodiscard]] std::uint64_t messages_expired() const { return expired_; }
   /// Congestion-experienced marks seen on received packets of a flow
   /// (cumulative). The feedback signal for ECN-aware QuO adaptation.
   [[nodiscard]] std::uint64_t ce_marks(net::FlowId flow) const;
-
-  // --- batching counters ------------------------------------------------------
-  [[nodiscard]] std::uint64_t batches_sent() const { return batches_sent_; }
-  [[nodiscard]] std::uint64_t batched_messages() const { return batched_messages_; }
-  [[nodiscard]] std::uint64_t batches_delivered() const { return batches_delivered_; }
 
  private:
   using Key128Index = common::FlatIndex<common::Key128>;
@@ -170,36 +84,9 @@ class GiopTransport {
     std::uint64_t message_id = 0;
   };
 
-  /// One staging buffer per (dst, dscp, flow) key. Slots are created on
-  /// first use and deactivated (never erased) on flush, so the key set
-  /// stays allocation-stable.
-  struct Staging {
-    std::shared_ptr<std::vector<std::uint8_t>> buf;  // pooled; null while inactive
-    std::uint32_t count = 0;
-    sim::EventId flush_event{};
-    TimePoint flush_at{};
-    std::uint64_t trace = 0;  // the first staged message's trace labels the batch
-    net::NodeId dst = net::kInvalidNode;
-    net::Dscp dscp = 0;
-    net::FlowId flow = net::kNoFlow;
-    bool active = false;
-  };
-
-  /// The pre-batching wire path, verbatim: fragment to MTU and send. Both
-  /// the oracle (batching off) and flushed batches go through here.
-  void transmit(net::NodeId dst, MessageBuffer msg, net::Dscp dscp, net::FlowId flow,
-                std::uint64_t trace);
   void on_packet(net::Packet&& p);
-  /// Hands a complete wire message up: unpacks "GBAT" batches into one
-  /// view per entry, passes everything else through as a whole-buffer view.
-  void deliver(net::NodeId src, MessageBuffer msg);
+  void deliver(net::NodeId src, const MessageBuffer& msg);
   void expire(net::NodeId src, std::uint64_t message_id);
-
-  [[nodiscard]] const BatchPolicy& policy_for(net::FlowId flow) const;
-  [[nodiscard]] std::uint32_t staging_slot(net::NodeId dst, net::Dscp dscp,
-                                           net::FlowId flow);
-  void flush_slot(std::uint32_t slot);
-  void deadline_flush(std::uint32_t slot);
 
   std::uint32_t acquire_reassembly_slot();
   void release_reassembly_slot(std::uint32_t slot);
@@ -207,10 +94,6 @@ class GiopTransport {
   [[nodiscard]] static common::Key128 reassembly_key(net::NodeId src,
                                                     std::uint64_t message_id) {
     return {static_cast<std::uint32_t>(src), message_id};
-  }
-  [[nodiscard]] static common::Key128 staging_key(net::NodeId dst, net::Dscp dscp,
-                                                 net::FlowId flow) {
-    return {(static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 8) | dscp, flow};
   }
 
   /// Engine recorder iff ORB tracing is on; binds the "giop:<node>" lane on
@@ -231,26 +114,9 @@ class GiopTransport {
   std::vector<Reassembly> reassembly_slots_;
   std::vector<std::uint32_t> reassembly_free_;
 
-  // Coalescing: flat (dst, dscp, flow)-keyed index over persistent slots;
-  // staging buffers are recycled through the batch buffer pool.
-  Key128Index staging_index_;
-  std::vector<Staging> staging_;
-  CdrBufferPool batch_pool_;
-  net::FlowMap<BatchPolicy> flow_batching_;
-  std::vector<std::uint32_t> flush_scratch_;  // flush_all ordering, reused
-  // One-entry MRU cache over staging_index_ (staging slots are persistent,
-  // so a cached index never dangles).
-  net::NodeId last_dst_ = net::kInvalidNode;
-  net::Dscp last_dscp_ = 0;
-  net::FlowId last_flow_ = net::kNoFlow;
-  std::uint32_t last_slot_ = Key128Index::kNoSlot;
-
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t expired_ = 0;
-  std::uint64_t batches_sent_ = 0;
-  std::uint64_t batched_messages_ = 0;
-  std::uint64_t batches_delivered_ = 0;
   obs::TraceRecorder* obs_bound_ = nullptr;
   std::uint16_t obs_track_ = 0;
 };

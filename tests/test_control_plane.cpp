@@ -1,4 +1,4 @@
-// Runtime QoS control plane (DESIGN.md §13).
+// Runtime QoS control plane (DESIGN.md §12).
 //
 // 1. Override mechanics: merge_override semantics, live re-stamps through
 //    QosControlPlane (versioned binding bumps, no session restart), the
@@ -157,7 +157,6 @@ TEST_F(ControlPlaneFixture, RemoteOverrideRoundTrip) {
   ov.priority = 30'000;
   ov.server_cpu_reserve = os::ReserveSpec{milliseconds(10), milliseconds(100), true};
   ov.network_reservation = net::FlowSpec{1.5e6, 32'000};
-  ov.oneway_batching = OnewayBatchingPolicy{8 * 1024, 16, microseconds(250)};
 
   std::optional<Status<std::string>> outcome;
   controller.override_flow(kFlowVideo, ov,
@@ -170,7 +169,6 @@ TEST_F(ControlPlaneFixture, RemoteOverrideRoundTrip) {
   ASSERT_NE(plane.active_override(kFlowVideo), nullptr);
   EXPECT_EQ(*plane.active_override(kFlowVideo), ov);
   EXPECT_EQ(session.active_policy().priority, 30'000);
-  EXPECT_EQ(session.active_policy().oneway_batching, ov.oneway_batching);
 
   outcome.reset();
   controller.clear_override(kFlowVideo,

@@ -1,6 +1,5 @@
 // common::FlatIndex, the open-addressing key -> slot index behind every
-// hashed table in the stack (DESIGN.md §10, §11), and the FlowMap built on
-// it.
+// hashed table in the stack (DESIGN.md §10), and the FlowMap built on it.
 //
 // 1. Random insert/erase/find churn matches a reference std::map for each
 //    key shape the stack uses: random 128-bit transport keys, dense

@@ -1,6 +1,6 @@
 // Streaming QoS telemetry: windowed SLO monitors, breach/recovery
 // hysteresis, flight-recorder dumps and the deterministic health sidecar
-// (DESIGN.md §12). Unit tests drive the hub directly with a small window
+// (DESIGN.md §11). Unit tests drive the hub directly with a small window
 // (10 ms buckets, 4-bucket ring); scenario tests push real packets through
 // a congested net::Link and check the end-to-end contract, including
 // byte-identical sidecars for any --jobs.

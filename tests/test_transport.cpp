@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "net/network.hpp"
 #include "orb/transport.hpp"
 #include "sim/engine.hpp"
+#include "counting_new.hpp"
 
 namespace aqm::orb {
 namespace {
@@ -38,9 +42,9 @@ struct TransportFixture : public ::testing::Test {
 
 TEST_F(TransportFixture, SmallMessageSinglePacket) {
   std::optional<std::size_t> got;
-  tb->set_message_handler([&](net::NodeId src, MessageView msg) {
+  tb->set_message_handler([&](net::NodeId src, const MessageBuffer& msg) {
     EXPECT_EQ(src, a);
-    got = msg.size();
+    got = msg->size();
   });
   ta->send_message(b, make_message(500), net::dscp::kBestEffort, 1);
   engine.run();
@@ -53,7 +57,7 @@ TEST_F(TransportFixture, SmallMessageSinglePacket) {
 
 TEST_F(TransportFixture, LargeMessageFragmentsToMtu) {
   std::optional<std::size_t> got;
-  tb->set_message_handler([&](net::NodeId, MessageView msg) { got = msg.size(); });
+  tb->set_message_handler([&](net::NodeId, const MessageBuffer& msg) { got = msg->size(); });
   // 10 KB with MTU 1500 and 40 B overhead: payload per packet 1460 -> 7 fragments.
   ta->send_message(b, make_message(10'000), net::dscp::kBestEffort, 2);
   engine.run();
@@ -63,24 +67,27 @@ TEST_F(TransportFixture, LargeMessageFragmentsToMtu) {
 }
 
 TEST_F(TransportFixture, ContentSurvivesTransit) {
-  std::vector<std::uint8_t> received;
-  bool got = false;
-  tb->set_message_handler([&](net::NodeId, MessageView msg) {
-    received.assign(msg.data(), msg.data() + msg.size());
-    got = true;
-  });
-  const auto original = make_message(5000);
-  ta->send_message(b, original, net::dscp::kBestEffort);
-  engine.run();
-  ASSERT_TRUE(got);
-  EXPECT_EQ(received, *original);
+  // No payload prefix is reserved: a message that opens with the bytes
+  // G B A T 01 00 is delivered once, whole.
+  auto gbat = std::make_shared<std::vector<std::uint8_t>>(*make_message(64));
+  const std::uint8_t prefix[] = {'G', 'B', 'A', 'T', 1, 0};
+  std::copy(std::begin(prefix), std::end(prefix), gbat->begin());
+  for (const MessageBuffer& original : {make_message(5000), MessageBuffer(gbat)}) {
+    std::vector<std::vector<std::uint8_t>> received;
+    tb->set_message_handler(
+        [&](net::NodeId, const MessageBuffer& msg) { received.push_back(*msg); });
+    ta->send_message(b, original, net::dscp::kBestEffort);
+    engine.run();
+    ASSERT_EQ(received.size(), 1u) << original->size() << "-byte message";
+    EXPECT_EQ(received[0], *original);
+  }
 }
 
 TEST_F(TransportFixture, BidirectionalMessaging) {
   int a_got = 0;
   int b_got = 0;
-  ta->set_message_handler([&](net::NodeId, MessageView) { ++a_got; });
-  tb->set_message_handler([&](net::NodeId, MessageView) { ++b_got; });
+  ta->set_message_handler([&](net::NodeId, const MessageBuffer&) { ++a_got; });
+  tb->set_message_handler([&](net::NodeId, const MessageBuffer&) { ++b_got; });
   ta->send_message(b, make_message(100), net::dscp::kBestEffort);
   tb->send_message(a, make_message(100), net::dscp::kBestEffort);
   engine.run();
@@ -93,7 +100,7 @@ TEST_F(TransportFixture, DscpStampsEveryFragment) {
   // easiest check is the DiffServ classification on the egress queue, so
   // here we just assert the transport's packets carry the DSCP by observing
   // flow counters on a marked flow (wire-level checks live in queue tests).
-  tb->set_message_handler([](net::NodeId, MessageView) {});
+  tb->set_message_handler([](net::NodeId, const MessageBuffer&) {});
   ta->send_message(b, make_message(4000), net::dscp::kEf, 3);
   engine.run();
   EXPECT_EQ(net.flow(3).delivered, 3u);  // 4000/1460 -> 3 fragments, all EF
@@ -114,7 +121,7 @@ TEST(TransportLoss, IncompleteMessageExpires) {
   GiopTransport ta(net, a, cfg);
   GiopTransport tb(net, b, cfg);
   int delivered = 0;
-  tb.set_message_handler([&](net::NodeId, MessageView) { ++delivered; });
+  tb.set_message_handler([&](net::NodeId, const MessageBuffer&) { ++delivered; });
   auto msg = std::make_shared<std::vector<std::uint8_t>>(10'000);  // 7 fragments
   ta.send_message(b, msg, net::dscp::kBestEffort, 4);
   engine.run();
@@ -131,7 +138,7 @@ TEST(TransportLoss, DuplicateFragmentsIgnored) {
   net.add_duplex_link(a, b, net::LinkConfig{});
   GiopTransport tb(net, b);
   int delivered = 0;
-  tb.set_message_handler([&](net::NodeId, MessageView) { ++delivered; });
+  tb.set_message_handler([&](net::NodeId, const MessageBuffer&) { ++delivered; });
   // Hand-craft duplicate fragments of a 2-fragment message.
   auto data = std::make_shared<const std::vector<std::uint8_t>>(3000);
   auto send_frag = [&](std::uint32_t idx) {
@@ -156,13 +163,51 @@ TEST(TransportLoss, NonGiopPacketsIgnored) {
   net.add_duplex_link(a, b, net::LinkConfig{});
   GiopTransport tb(net, b);
   int delivered = 0;
-  tb.set_message_handler([&](net::NodeId, MessageView) { ++delivered; });
+  tb.set_message_handler([&](net::NodeId, const MessageBuffer&) { ++delivered; });
   net::Packet p;
   p.dst = b;
   p.size_bytes = 100;  // cross-traffic packet, no payload
   net.send(a, std::move(p));
   engine.run();
   EXPECT_EQ(delivered, 0);
+}
+
+TEST(TransportZeroAlloc, SteadyStateFragmentedSendReceiveIsAllocationFree) {
+  sim::Engine engine;
+  net::Network net(engine);
+  const net::NodeId n = net.add_node("host");
+  GiopTransport t(net, n);
+  std::uint64_t bytes_seen = 0;
+  std::uint64_t msgs_seen = 0;
+  t.set_message_handler([&](net::NodeId, const MessageBuffer& m) {
+    bytes_seen += m->size();
+    ++msgs_seen;
+  });
+  // Pre-built payloads: the steady-state claim covers the transport, not
+  // the caller's message construction.
+  std::vector<MessageBuffer> msgs;
+  for (int i = 0; i < 8; ++i) msgs.push_back(make_message(7240));
+
+  // dst == src delivers synchronously through Network::send with no link
+  // events, so one iteration is: fragment each 7240 B message to 5 packets
+  // (1460 B payload each), reassemble it, and hand it up.
+  auto iteration = [&] {
+    for (const MessageBuffer& m : msgs) {
+      t.send_message(n, m, net::dscp::kBestEffort, 3);
+    }
+    engine.run();  // drains the cancelled expiry timer tombstones
+  };
+  for (int i = 0; i < 100; ++i) iteration();  // warm pools, tables, calendar
+  const std::uint64_t msgs_before = msgs_seen;
+  const std::uint64_t allocs_before = test::heap_allocs();
+  for (int i = 0; i < 50; ++i) iteration();
+  const std::uint64_t allocs = test::heap_allocs() - allocs_before;
+  const std::uint64_t delivered = msgs_seen - msgs_before;
+  EXPECT_EQ(allocs, 0u) << "steady-state fragmented send/receive allocated";
+  EXPECT_EQ(delivered, 400u);
+  EXPECT_EQ(bytes_seen, 7240u * msgs_seen);
+  EXPECT_EQ(net.flow(3).sent, 5u * msgs_seen);
+  EXPECT_EQ(t.messages_expired(), 0u);
 }
 
 }  // namespace
